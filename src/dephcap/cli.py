@@ -13,7 +13,6 @@ import configparser
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -31,9 +30,6 @@ from .optimize import (
     maximize_over_ansatz,
     two_point_lower_bound,
 )
-
-THREADS_ENV_VAR = "DEPHCAP_THREADS"
-
 
 def fmt(x: float) -> str:
     """12 significant digits, lowercase exponent, locale independent."""
@@ -115,8 +111,8 @@ class SweepConfig:
     def __post_init__(self):
         if not self.gamma_grid or not self.n_grid:
             raise ValueError("gamma and N grids must be nonempty")
-        if any(g < 0 for g in self.gamma_grid):
-            raise ValueError("gamma values must be >= 0")
+        if not all(math.isfinite(g) and g >= 0 for g in self.gamma_grid):
+            raise ValueError("gamma values must be finite and >= 0")
         if any(n < 1 for n in self.n_grid):
             raise ValueError("N values must be >= 1")
         if self.format not in ("csv", "json"):
@@ -165,12 +161,6 @@ def load_sweep_config(path: str) -> SweepConfig:
             opt_kwargs["objective_tolerance"] = float(sec["objective_tolerance"])
         if "max_iterations" in sec:
             opt_kwargs["max_iterations"] = int(sec["max_iterations"])
-        if "restarts" in sec:
-            opt_kwargs["restarts"] = int(sec["restarts"])
-        if "gradient_mode" in sec:
-            opt_kwargs["gradient_mode"] = sec["gradient_mode"]
-        if "seed" in sec:
-            opt_kwargs["seed"] = int(sec["seed"])
     out_path = "sweep.csv"
     out_format = "csv"
     if parser.has_section("output"):
@@ -256,28 +246,17 @@ def _positive_int(text: str) -> int:
 
 
 def _add_optimizer_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=None, help="optimizer seed")
-    sub.add_argument("--restarts", type=_positive_int, default=None)
     sub.add_argument("--max-iterations", type=_positive_int, default=None)
     sub.add_argument("--objective-tolerance", type=float, default=None)
-    sub.add_argument(
-        "--gradient-mode", choices=("analytic", "finite_difference"), default=None
-    )
 
 
 def _optimizer_from_flags(args, base: OptimizerConfig | None = None) -> OptimizerConfig:
     cfg = base if base is not None else OptimizerConfig()
     overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.restarts is not None:
-        overrides["restarts"] = args.restarts
     if args.max_iterations is not None:
         overrides["max_iterations"] = args.max_iterations
     if args.objective_tolerance is not None:
         overrides["objective_tolerance"] = args.objective_tolerance
-    if args.gradient_mode is not None:
-        overrides["gradient_mode"] = args.gradient_mode
     if not overrides:
         return cfg
     merged = asdict(cfg)
@@ -304,12 +283,6 @@ def build_parser() -> _Parser:
     swp.add_argument("--ns", help="comma/space separated N grid (overrides file)")
     swp.add_argument("--output", help="output table path (overrides file)")
     swp.add_argument("--format", choices=("csv", "json"), default=None)
-    swp.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=None,
-        help=f"worker threads (default: ${THREADS_ENV_VAR} or machine parallelism)",
-    )
     _add_optimizer_flags(swp)
 
     low = subs.add_parser("lower-bound", help="two-point coherent-information bound")
@@ -341,18 +314,6 @@ def cmd_capacity(args) -> int:
     return 0 if result.converged else 2
 
 
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            return max(int(env), 1)
-        except ValueError:
-            print(f"ignoring non-integer {THREADS_ENV_VAR}={env!r}", file=sys.stderr)
-    return os.cpu_count() or 1
-
-
 def cmd_sweep(args) -> int:
     if args.config:
         try:
@@ -368,28 +329,25 @@ def cmd_sweep(args) -> int:
 
     gammas = config.gamma_grid if config else []
     ns = config.n_grid if config else []
-    if args.gammas:
-        gammas = _parse_float_list(args.gammas)
-    elif args.gamma_start is not None:
-        if args.gamma_stop is None or args.gamma_count is None:
-            print("--gamma-start requires --gamma-stop and --gamma-count", file=sys.stderr)
-            return 1
-        gammas = list(np.linspace(args.gamma_start, args.gamma_stop, args.gamma_count))
-    if args.ns:
-        ns = _parse_int_list(args.ns)
     base = config.optimizer if config else OptimizerConfig()
-    optimizer = _optimizer_from_flags(args, base)
     out_path = args.output or (config.output_path if config else "sweep.csv")
     out_format = args.format or (config.format if config else "csv")
     try:
+        if args.gammas:
+            gammas = _parse_float_list(args.gammas)
+        elif args.gamma_start is not None:
+            if args.gamma_stop is None or args.gamma_count is None:
+                raise ValueError("--gamma-start requires --gamma-stop and --gamma-count")
+            gammas = list(np.linspace(args.gamma_start, args.gamma_stop, args.gamma_count))
+        if args.ns:
+            ns = _parse_int_list(args.ns)
+        optimizer = _optimizer_from_flags(args, base)
         merged = SweepConfig(gammas, ns, optimizer, out_path, out_format)
     except ValueError as exc:
         print(f"invalid sweep configuration: {exc}", file=sys.stderr)
         return 1
 
-    results = capacity_sweep(
-        merged.gamma_grid, merged.n_grid, merged.optimizer, max_workers=_resolve_threads(args)
-    )
+    results = capacity_sweep(merged.gamma_grid, merged.n_grid, merged.optimizer)
     try:
         if merged.format == "csv":
             write_sweep_csv(results, merged.output_path)

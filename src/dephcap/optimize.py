@@ -2,8 +2,8 @@
 
 The truncated capacity is the maximum of J(p) = H(p) - S(A(p)) over
 probability vectors p on Fock levels 0..N. J is concave (the channel is
-degradable), so mirror ascent with multiplicative updates converges to
-the global value; restarts only guard against numerical stagnation.
+degradable), so a single mirror ascent with multiplicative updates from
+the symmetric discrete-Gaussian start converges to the global optimum.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -25,7 +24,6 @@ _LN2 = math.log(2.0)
 
 GRADIENT_RESIDUAL_TOL = 1e-9
 OBJECTIVE_STALL_ITERS = 5
-WEIGHT_FLOOR = 1e-14
 FD_STEP = 1e-6
 MAX_BACKTRACKS = 60
 _GRADIENT_MODES = ("analytic", "finite_difference")
@@ -35,19 +33,12 @@ _GRADIENT_MODES = ("analytic", "finite_difference")
 class OptimizerConfig:
     objective_tolerance: float = 1e-10
     max_iterations: int = 20000
-    restarts: int = 3
-    gradient_mode: str = "analytic"
-    seed: int = 0
 
     def __post_init__(self):
         if not self.objective_tolerance > 0.0:
             raise ValueError("objective_tolerance must be > 0")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.gradient_mode not in _GRADIENT_MODES:
-            raise ValueError(f"gradient_mode must be one of {_GRADIENT_MODES}")
 
 
 @dataclass(frozen=True)
@@ -130,15 +121,15 @@ def two_point_lower_bound(params: DephasingParams, j: int) -> TwoPointBound:
 # ---------------------------------------------------------------------------
 # objective and gradient
 
-def _objective_and_gradient_analytic(weights, indices, gamma):
-    """(J, unprojected gradient) on the support, sharing one eigendecomposition.
+def _objective_and_gradient_analytic(weights, gamma):
+    """(J, unprojected gradient) on levels 0..N, sharing one eigendecomposition.
 
     dJ/dp_m = -log2 p_m + <c_m| log2 Omega |c_m>; the overlap term comes
     from the eigenpairs of M = D^{1/2} G D^{1/2}: an eigenvector v of M
     with eigenvalue a lifts to the Omega eigenvector C D^{1/2} v / sqrt(a),
     so |<u_i|c_m>|^2 = (V^T D^{1/2} G)[i,m]^2 / a_i.
     """
-    g_kernel = replica.gram_matrix(DephasingParams(gamma), indices)
+    g_kernel = replica.gram_matrix(DephasingParams(gamma), np.arange(weights.size))
     sq = np.sqrt(weights)
     m = sq[:, None] * g_kernel * sq[None, :]
     a, v = np.linalg.eigh(m)
@@ -157,16 +148,14 @@ def _objective_and_gradient_analytic(weights, indices, gamma):
     return shannon - entropy, grad
 
 
-def _fd_gradient(weights, indices, gamma, step=FD_STEP):
-    """Central differences of the raw objective along support coordinates."""
-    full = np.zeros(int(indices.max()) + 1)
-    full[indices] = weights
+def _fd_gradient(weights, gamma, step=FD_STEP):
+    """Central differences of the raw objective along each coordinate."""
     grad = np.empty(weights.size)
-    for k, idx in enumerate(indices):
-        hi = full.copy()
-        lo = full.copy()
-        hi[idx] += step
-        lo[idx] -= step
+    for k in range(weights.size):
+        hi = weights.copy()
+        lo = weights.copy()
+        hi[k] += step
+        lo[k] -= step
         grad[k] = (
             replica._objective_bits_raw(hi, gamma) - replica._objective_bits_raw(lo, gamma)
         ) / (2.0 * step)
@@ -182,16 +171,16 @@ def objective_gradient(
     which is the quantity that drives simplex ascent and the one on which
     the two modes are comparable; unprojected gradients differ only by the
     constant multiples of the all-ones vector that normalization absorbs.
+    The ascent uses the analytic mode; finite differences are a check on it.
     """
     if mode not in _GRADIENT_MODES:
         raise ValueError(f"mode must be one of {_GRADIENT_MODES}")
     if p.p.min() <= 0.0:
         raise ValueError("gradient requires strictly positive p")
-    indices = np.arange(p.dim)
     if mode == "analytic":
-        _, grad = _objective_and_gradient_analytic(p.p, indices, params.gamma)
+        _, grad = _objective_and_gradient_analytic(p.p, params.gamma)
     else:
-        grad = _fd_gradient(p.p, indices, params.gamma)
+        grad = _fd_gradient(p.p, params.gamma)
     bad = np.flatnonzero(~np.isfinite(grad))
     if bad.size:
         raise ValueError(f"non-finite gradient component at index {bad[0]}")
@@ -202,37 +191,22 @@ def objective_gradient(
 # mirror ascent
 
 class _AscentOutcome(NamedTuple):
-    p_full: np.ndarray
+    p: np.ndarray
     value: float
     iterations: int
     converged: bool
     residual: float
 
 
-def _eval_support(weights, indices, gamma, mode):
-    if mode == "analytic":
-        return _objective_and_gradient_analytic(weights, indices, gamma)
-    value = replica._objective_bits_raw(_embed(weights, indices), gamma)
-    return value, _fd_gradient(weights, indices, gamma)
-
-
-def _embed(weights, indices):
-    full = np.zeros(int(indices.max()) + 1)
-    full[indices] = weights
-    return full
-
-
 def _mirror_ascent(p0: np.ndarray, gamma: float, config: OptimizerConfig) -> _AscentOutcome:
     """Exponentiated-gradient ascent with backtracking step control.
 
     Multiplicative updates keep the iterate positive and normalized for
-    free. Weights that sink below 1e-14 are frozen at zero and leave the
-    support for good; restarts handle re-entry.
+    free. A step that underflows a weight to zero has a nan objective and
+    is rejected by the backtracking test like any other non-improving step.
     """
-    dim = p0.size
-    support = np.flatnonzero(p0 > WEIGHT_FLOOR)
-    w = p0[support] / p0[support].sum()
-    value, grad = _eval_support(w, support, gamma, config.gradient_mode)
+    w = p0
+    value, grad = _objective_and_gradient_analytic(w, gamma)
     eta = 1.0
     stall = 0
     converged = False
@@ -251,11 +225,7 @@ def _mirror_ascent(p0: np.ndarray, gamma: float, config: OptimizerConfig) -> _As
             x -= x.max()
             w_new = w * np.exp(x)
             w_new /= w_new.sum()
-            keep = w_new >= WEIGHT_FLOOR
-            sup_new = support[keep]
-            w_new = w_new[keep]
-            w_new /= w_new.sum()
-            value_new, grad_new = _eval_support(w_new, sup_new, gamma, config.gradient_mode)
+            value_new, grad_new = _objective_and_gradient_analytic(w_new, gamma)
             if value_new >= value:
                 accepted = True
                 first_try = attempt == 0
@@ -266,7 +236,7 @@ def _mirror_ascent(p0: np.ndarray, gamma: float, config: OptimizerConfig) -> _As
             converged = True
             break
         delta = value_new - value
-        w, support, value, grad = w_new, sup_new, value_new, grad_new
+        w, value, grad = w_new, value_new, grad_new
         if first_try:
             eta = min(eta * 1.3, 100.0)
         stall = stall + 1 if delta < config.objective_tolerance else 0
@@ -275,9 +245,7 @@ def _mirror_ascent(p0: np.ndarray, gamma: float, config: OptimizerConfig) -> _As
             break
     centred = grad - grad.mean()
     residual = float(np.linalg.norm(centred))
-    p_full = np.zeros(dim)
-    p_full[support] = w
-    return _AscentOutcome(p_full, value, iterations, converged, residual)
+    return _AscentOutcome(w, value, iterations, converged, residual)
 
 
 def default_sigma(n_max: int) -> float:
@@ -299,47 +267,31 @@ def ansatz_distribution(ansatz: DiscreteGaussianAnsatz) -> InputDistribution:
     return InputDistribution(_ansatz_weights(ansatz.n_max, ansatz.sigma, ansatz.mu))
 
 
-def _starting_points(n_max: int, config: OptimizerConfig) -> list[np.ndarray]:
-    """Discrete-Gaussian default start, uniform fallback, then perturbed copies."""
-    rng = np.random.default_rng(config.seed)
-    base = _ansatz_weights(n_max, default_sigma(n_max))
-    starts = [base]
-    if config.restarts >= 2:
-        starts.append(np.full(n_max + 1, 1.0 / (n_max + 1)))
-    while len(starts) < config.restarts:
-        pert = base * np.exp(0.15 * rng.standard_normal(n_max + 1))
-        starts.append(pert / pert.sum())
-    return starts
-
-
 def maximize_coherent_information(
     n_max: int, params: DephasingParams, config: OptimizerConfig | None = None
 ) -> CapacityResult:
     """Maximize J over the simplex on Fock levels 0..N.
 
-    Concavity makes every local maximizer globally optimal in value; the
-    best of the restarted ascents is returned. converged means the
-    tangent-projected gradient norm fell below 1e-9 or the objective
-    change stayed under objective_tolerance.
+    Concavity makes every local maximizer globally optimal, so one ascent
+    from the symmetric discrete Gaussian of width default_sigma(N) is run.
+    converged means the tangent-projected gradient norm fell below 1e-9
+    or the objective change stayed under objective_tolerance.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     cfg = config if config is not None else OptimizerConfig()
     t0 = time.perf_counter()
-    best: _AscentOutcome | None = None
-    for p0 in _starting_points(n_max, cfg):
-        outcome = _mirror_ascent(p0, params.gamma, cfg)
-        if best is None or outcome.value > best.value:
-            best = outcome
-    q = min(max(best.value, 0.0), math.log2(n_max + 1))
+    p0 = _ansatz_weights(n_max, default_sigma(n_max))
+    outcome = _mirror_ascent(p0, params.gamma, cfg)
+    q = min(max(outcome.value, 0.0), math.log2(n_max + 1))
     return CapacityResult(
         gamma=params.gamma,
         n_max=n_max,
         q_bits=q,
-        p_opt=InputDistribution(best.p_full),
-        iterations=best.iterations,
-        converged=best.converged,
-        gradient_residual=best.residual,
+        p_opt=InputDistribution(outcome.p),
+        iterations=outcome.iterations,
+        converged=outcome.converged,
+        gradient_residual=outcome.residual,
         wall_time=time.perf_counter() - t0,
     )
 
@@ -438,25 +390,16 @@ def _sweep_point(n_max: int, gamma: float, config: OptimizerConfig) -> CapacityR
 
 
 def capacity_sweep(
-    gammas,
-    n_maxes,
-    config: OptimizerConfig | None = None,
-    max_workers: int | None = None,
+    gammas, n_maxes, config: OptimizerConfig | None = None
 ) -> list[CapacityResult]:
     """One CapacityResult per (N, gamma) pair, ordered by (N, gamma).
 
-    Points are independent; with max_workers > 1 they run on a thread
-    pool. Results depend only on (grids, config.seed), never on the
-    execution order. Each result carries its wall time.
+    Points are solved one after another; each result depends only on its
+    (N, gamma) and the config, and carries its wall time.
     """
     gamma_grid = [float(g) for g in gammas]
     n_grid = [int(n) for n in n_maxes]
     if not gamma_grid or not n_grid:
         raise ValueError("gamma and N grids must be nonempty")
     cfg = config if config is not None else OptimizerConfig()
-    points = [(n, g) for n in sorted(n_grid) for g in sorted(gamma_grid)]
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(_sweep_point, n, g, cfg) for n, g in points]
-            return [f.result() for f in futures]
-    return [_sweep_point(n, g, cfg) for n, g in points]
+    return [_sweep_point(n, g, cfg) for n in sorted(n_grid) for g in sorted(gamma_grid)]

@@ -57,17 +57,6 @@ class InputDistribution:
         return float(np.arange(self.dim) @ self.p)
 
 
-@dataclass(frozen=True)
-class ReplicaMatrix:
-    """A = G diag(p) with G the coherent-overlap Gram kernel."""
-
-    entries: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
-
-
 def gram_overlap(params: DephasingParams, i: int, j: int) -> float:
     """Overlap <sqrt(gamma) i | sqrt(gamma) j> = e^{-gamma (i-j)^2 / 2}."""
     if i < 0 or j < 0:
@@ -80,11 +69,6 @@ def gram_matrix(params: DephasingParams, indices) -> np.ndarray:
     idx = np.asarray(indices, dtype=float)
     d = np.subtract.outer(idx, idx)
     return np.exp(-params.gamma * d ** 2 / 2.0)
-
-
-def build_replica_matrix(p: InputDistribution, params: DephasingParams) -> ReplicaMatrix:
-    g = gram_matrix(params, np.arange(p.dim))
-    return ReplicaMatrix(g * p.p[None, :])
 
 
 def _support_spectrum(weights: np.ndarray, indices: np.ndarray, gamma: float) -> np.ndarray:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from dephcap import cli, validate
+from dephcap import validate
 from dephcap.cli import fmt, load_sweep_config, main
 from dephcap.optimize import binary_entropy_bits
 
@@ -28,8 +28,7 @@ gamma = 0.25, 1.0
 n = 1, 3
 
 [optimizer]
-seed = 7
-restarts = 2
+max_iterations = 5000
 
 [output]
 path = {path}
@@ -86,21 +85,33 @@ class TestCapacityCommand:
         assert exc.value.code == 1
 
     def test_nonconvergence_exits_two(self, capsys):
-        rc = main(
-            ["capacity", "--n", "4", "--gamma", "0.5", "--max-iterations", "2",
-             "--restarts", "1"]
-        )
+        rc = main(["capacity", "--n", "4", "--gamma", "0.5", "--max-iterations", "2"])
         rec = parse_record(capsys.readouterr().out)
         assert rc == 2
         assert rec["converged"] == "false"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["capacity", "--n", "2", "--gamma", "1", "--restarts", "1"],
+            ["capacity", "--n", "2", "--gamma", "1", "--seed", "3"],
+            ["capacity", "--n", "2", "--gamma", "1", "--gradient-mode", "analytic"],
+            ["sweep", "--gammas", "1", "--ns", "1", "--threads", "2"],
+        ],
+        ids=["restarts", "seed", "gradient-mode", "threads"],
+    )
+    def test_removed_flags_exit_one(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+
 
 class TestSweepCommand:
-    def run_sweep(self, tmp_path, fmt_name="csv", extra=()):
+    def run_sweep(self, tmp_path, fmt_name="csv"):
         out = tmp_path / f"table.{fmt_name}"
         cfg = tmp_path / "sweep.ini"
         cfg.write_text(CONFIG.format(path=out, format=fmt_name))
-        rc = main(["sweep", "--config", str(cfg), *extra])
+        rc = main(["sweep", "--config", str(cfg)])
         assert rc == 0
         return out
 
@@ -131,11 +142,6 @@ class TestSweepCommand:
         first = self.run_sweep(tmp_path).read_bytes()
         second = self.run_sweep(tmp_path).read_bytes()
         assert first == second
-
-    def test_byte_identical_across_thread_counts(self, tmp_path):
-        a = self.run_sweep(tmp_path, extra=("--threads", "1")).read_bytes()
-        b = self.run_sweep(tmp_path, extra=("--threads", "4")).read_bytes()
-        assert a == b
 
     def test_json_format(self, tmp_path):
         out = self.run_sweep(tmp_path, fmt_name="json")
@@ -183,12 +189,33 @@ class TestSweepCommand:
         assert rc == 3
         assert "cannot write" in capsys.readouterr().err
 
-    def test_invalid_grid_exits_one(self, tmp_path, capsys):
-        cfg = tmp_path / "sweep.ini"
-        cfg.write_text("[grid]\ngamma = -1.0\nn = 1\n")
-        rc = main(["sweep", "--config", str(cfg)])
+    @pytest.mark.parametrize(
+        "grid, flags",
+        [
+            ("gamma = -1.0\nn = 1", []),
+            ("gamma = 1, inf\nn = 1", []),
+            ("gamma = 1, nan\nn = 1", []),
+            (None, ["--gammas", "nan", "--ns", "1"]),
+            (None, ["--gammas", "inf", "--ns", "1"]),
+            (None, ["--gammas", "abc", "--ns", "1"]),
+            (None, ["--gammas", "1", "--ns", "1.5"]),
+        ],
+        ids=[
+            "file-negative", "file-inf", "file-nan",
+            "flag-nan", "flag-inf", "flag-abc", "flag-fractional-n",
+        ],
+    )
+    def test_invalid_grid_exits_one(self, tmp_path, capsys, grid, flags):
+        out = tmp_path / "never.csv"
+        argv = ["sweep", "--output", str(out), *flags]
+        if grid is not None:
+            cfg = tmp_path / "sweep.ini"
+            cfg.write_text(f"[grid]\n{grid}\n")
+            argv += ["--config", str(cfg)]
+        rc = main(argv)
         assert rc == 1
         assert "invalid" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_per_point_failure_keeps_exit_zero(self, tmp_path):
         # an interior point failure must not fail the sweep; exercised via a
@@ -231,13 +258,12 @@ class TestConfigLoader:
     def test_optimizer_section(self, tmp_path):
         cfg = tmp_path / "opt.ini"
         cfg.write_text(
-            "[grid]\ngamma = 1.0\nn = 1\n\n[optimizer]\nseed = 3\nmax_iterations = 50\n"
-            "objective_tolerance = 1e-9\ngradient_mode = finite_difference\n"
+            "[grid]\ngamma = 1.0\nn = 1\n\n[optimizer]\nmax_iterations = 50\n"
+            "objective_tolerance = 1e-9\n"
         )
         loaded = load_sweep_config(str(cfg))
-        assert loaded.optimizer.seed == 3
         assert loaded.optimizer.max_iterations == 50
-        assert loaded.optimizer.gradient_mode == "finite_difference"
+        assert loaded.optimizer.objective_tolerance == 1e-9
 
 
 class TestOtherCommands:
@@ -290,20 +316,6 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert rc == 1
         assert "FAIL replica_vs_bruteforce" in out
-
-
-class TestThreadResolution:
-    def test_env_var_used(self, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV_VAR, "3")
-        args = cli.build_parser().parse_args(["sweep", "--gammas", "1", "--ns", "1"])
-        assert cli._resolve_threads(args) == 3
-
-    def test_flag_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV_VAR, "3")
-        args = cli.build_parser().parse_args(
-            ["sweep", "--gammas", "1", "--ns", "1", "--threads", "2"]
-        )
-        assert cli._resolve_threads(args) == 2
 
 
 def test_suite_results_have_details():

@@ -122,16 +122,10 @@ class TestMaximizeCoherentInformation:
         assert res.q_bits == pytest.approx(2.0, abs=1e-10)
         assert res.p_opt.p == pytest.approx(0.25, abs=1e-5)
 
-    def test_finite_difference_mode_agrees(self):
-        cfg = OptimizerConfig(gradient_mode="finite_difference")
-        res_fd = maximize_coherent_information(2, DephasingParams(1.0), cfg)
-        res_an = maximize_coherent_information(2, DephasingParams(1.0))
-        assert res_fd.q_bits == pytest.approx(res_an.q_bits, abs=1e-7)
-
     def test_deterministic_for_fixed_seed(self):
-        cfg = OptimizerConfig(seed=42)
-        a = maximize_coherent_information(3, DephasingParams(0.8), cfg)
-        b = maximize_coherent_information(3, DephasingParams(0.8), cfg)
+        # the solver has no seed: reruns with the default config are identical
+        a = maximize_coherent_information(3, DephasingParams(0.8))
+        b = maximize_coherent_information(3, DephasingParams(0.8))
         assert np.array_equal(a.p_opt.p, b.p_opt.p)
         assert a.q_bits == b.q_bits
         assert a.iterations == b.iterations
@@ -144,6 +138,14 @@ class TestMaximizeCoherentInformation:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             maximize_coherent_information(0, DephasingParams(1.0))
+
+    def test_optimum_symmetric_with_mean_energy_half_n(self):
+        # regression: best-of-restarts selection once returned an asymmetric
+        # optimum here, max|p_m - p_{N-m}| = 1e-4 and <n> = 11.9958
+        res = maximize_coherent_information(24, DephasingParams(3.99276))
+        p = res.p_opt.p
+        assert np.abs(p - p[::-1]).max() <= 1e-9
+        assert abs(res.mean_energy() - 12.0) <= 1e-9
 
     def test_value_dominates_two_point_bound(self):
         for gamma in (0.25, 1.0, 2.0):
@@ -274,15 +276,6 @@ class TestCapacitySweep:
         keys = [(r.n_max, r.gamma) for r in results]
         assert keys == [(1, 0.25), (1, 1.0), (2, 0.25), (2, 1.0)]
 
-    def test_deterministic_and_thread_independent(self):
-        cfg = OptimizerConfig(seed=11)
-        serial = capacity_sweep([0.5, 1.5], [1, 2], cfg)
-        threaded = capacity_sweep([0.5, 1.5], [1, 2], cfg, max_workers=4)
-        for a, b in zip(serial, threaded):
-            assert a.q_bits == b.q_bits
-            assert np.array_equal(a.p_opt.p, b.p_opt.p)
-            assert a.iterations == b.iterations
-
     def test_wall_time_annotated(self):
         results = capacity_sweep([0.5], [1])
         assert results[0].wall_time is not None and results[0].wall_time >= 0.0
@@ -306,13 +299,9 @@ class TestOptimizerConfigValidation:
         with pytest.raises(ValueError):
             OptimizerConfig(objective_tolerance=0.0)
 
-    def test_rejects_bad_restarts(self):
+    def test_rejects_bad_max_iterations(self):
         with pytest.raises(ValueError):
-            OptimizerConfig(restarts=0)
-
-    def test_rejects_bad_mode(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(gradient_mode="autodiff")
+            OptimizerConfig(max_iterations=0)
 
 
 def test_optimum_is_concave_certificate():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from dephcap.fock import CoherentVector, DephasingParams, TruncationError, default_env_dim
 from dephcap.replica import (
     InputDistribution,
-    build_replica_matrix,
     coherent_information_diagonal,
     entropy_bruteforce_oracle,
     entropy_replica,
@@ -20,6 +19,11 @@ from dephcap.replica import (
 
 def random_distribution(rng, dim, concentration=1.0):
     return InputDistribution(rng.dirichlet(np.full(dim, concentration)))
+
+
+def replica_matrix(p, params):
+    """A = G diag(p), whose nonzero spectrum is that of the complementary output."""
+    return gram_matrix(params, np.arange(p.dim)) * p.p[None, :]
 
 
 def distributions(max_n=7):
@@ -77,29 +81,21 @@ class TestReplicaMatrix:
     def test_two_level_closed_form(self):
         gamma = 0.8
         p = InputDistribution(np.array([0.5, 0.5]))
-        a = build_replica_matrix(p, DephasingParams(gamma)).entries
+        a = replica_matrix(p, DephasingParams(gamma))
         g = math.exp(-gamma / 2.0)
         assert np.abs(a - np.array([[0.5, 0.5 * g], [0.5 * g, 0.5]])).max() < 1e-15
         eig = np.sort(np.linalg.eigvals(a).real)
         assert eig == pytest.approx([(1 - g) / 2, (1 + g) / 2], abs=1e-12)
 
-    def test_is_gram_times_diagonal(self):
-        rng = np.random.default_rng(0)
-        p = random_distribution(rng, 5)
-        params = DephasingParams(1.3)
-        a = build_replica_matrix(p, params).entries
-        g = gram_matrix(params, np.arange(5))
-        assert np.abs(a - g @ np.diag(p.p)).max() < 1e-15
-
     def test_large_gamma_is_diagonal(self):
         rng = np.random.default_rng(1)
         p = random_distribution(rng, 4)
-        a = build_replica_matrix(p, DephasingParams(200.0)).entries
+        a = replica_matrix(p, DephasingParams(200.0))
         assert np.abs(a - np.diag(p.p)).max() < 1e-15
 
     def test_gamma_zero_is_rank_one(self):
         p = InputDistribution(np.array([0.3, 0.3, 0.4]))
-        a = build_replica_matrix(p, DephasingParams(0.0)).entries
+        a = replica_matrix(p, DephasingParams(0.0))
         assert np.abs(a - np.tile(p.p, (3, 1))).max() < 1e-15
         eig = np.sort(np.linalg.eigvals(a).real)
         assert eig == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
@@ -108,7 +104,7 @@ class TestReplicaMatrix:
         rng = np.random.default_rng(2)
         for gamma in (0.25, 1.0, 2.0):
             p = random_distribution(rng, 6)
-            a = build_replica_matrix(p, DephasingParams(gamma)).entries
+            a = replica_matrix(p, DephasingParams(gamma))
             eig = np.linalg.eigvals(a)
             assert np.abs(eig.imag).max() < 1e-10
             assert eig.real.min() > -1e-10
@@ -197,7 +193,7 @@ class TestBruteForceOracle:
         for n_max in (2, 5):
             p = random_distribution(rng, n_max + 1)
             params = DephasingParams(1.0)
-            a = np.sort(np.linalg.eigvals(build_replica_matrix(p, params).entries).real)
+            a = np.sort(np.linalg.eigvals(replica_matrix(p, params)).real)
             from dephcap.fock import complementary_output
 
             omega = complementary_output(p, params)
