@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -36,65 +36,48 @@ def fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _config_hash(payload: dict) -> str:
+def _provenance(payload: dict) -> dict:
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    return {"version": __version__, "config_hash": hashlib.sha256(blob).hexdigest()[:16]}
 
 
-def _provenance(payload: dict, timestamp: bool) -> dict:
-    prov = {"version": __version__, "config_hash": _config_hash(payload)}
-    if timestamp:
-        prov["timestamp"] = datetime.now(timezone.utc).isoformat()
-    return prov
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return fmt(value)
+    return "" if value is None else str(value)
 
 
-@dataclass(frozen=True)
-class ResultRecord:
-    """Flattened result fields plus provenance, printable as key=value lines.
+def _result_fields(res: CapacityResult) -> dict:
+    """One solved point as the ordered fields of records, table rows and JSON results.
+
+    A failed sweep point has no input distribution: its mean_energy is None
+    and it carries no p_m fields.
+    """
+    fields = {
+        "gamma": res.gamma,
+        "N": res.n_max,
+        "q_bits": res.q_bits,
+        "converged": res.converged,
+        "iterations": res.iterations,
+        "gradient_residual": res.gradient_residual,
+        "mean_energy": res.mean_energy() if res.p_opt is not None else None,
+    }
+    if res.p_opt is not None:
+        fields.update((f"p_{m}", float(pm)) for m, pm in enumerate(res.p_opt.p))
+    return fields
+
+
+def _print_record(fields: dict, inputs: dict) -> None:
+    """Print fields plus provenance as key=value lines on stdout.
 
     Values round-trip losslessly at the printed precision; timestamps are
-    attached to interactive stdout records only, never to sweep files.
+    attached to these interactive records only, never to sweep files.
     """
-
-    fields: dict
-
-    @classmethod
-    def build(cls, fields: dict, inputs: dict, timestamp: bool = True) -> "ResultRecord":
-        merged = dict(fields)
-        merged.update(_provenance(inputs, timestamp))
-        return cls(merged)
-
-    def to_kv_text(self) -> str:
-        lines = []
-        for key, value in self.fields.items():
-            if isinstance(value, bool):
-                text = "true" if value else "false"
-            elif isinstance(value, float):
-                text = fmt(value)
-            else:
-                text = str(value)
-            lines.append(f"{key}={text}")
-        return "\n".join(lines)
-
-
-def _print_record(record: ResultRecord) -> None:
-    print(record.to_kv_text())
-
-
-def _capacity_record(result: CapacityResult, inputs: dict) -> ResultRecord:
-    rec: dict = {
-        "gamma": result.gamma,
-        "N": result.n_max,
-        "q_bits": result.q_bits,
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "gradient_residual": result.gradient_residual,
-        "mean_energy": result.mean_energy(),
-    }
-    if result.p_opt is not None:
-        for m, pm in enumerate(result.p_opt.p):
-            rec[f"p_{m}"] = float(pm)
-    return ResultRecord.build(rec, inputs)
+    record = {**fields, **_provenance(inputs)}
+    record["timestamp"] = datetime.now(timezone.utc).isoformat()
+    print("\n".join(f"{key}={_text(value)}" for key, value in record.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -119,24 +102,16 @@ class SweepConfig:
             raise ValueError("format must be 'csv' or 'json'")
 
     def canonical(self) -> dict:
-        payload = {
+        return {
             "gamma_grid": self.gamma_grid,
             "n_grid": self.n_grid,
             "optimizer": asdict(self.optimizer),
             "format": self.format,
         }
-        return payload
 
 
-def _parse_float_list(text: str) -> list[float]:
-    items = text.replace(",", " ").split()
-    if not items:
-        raise ValueError("empty list")
-    return [float(tok) for tok in items]
-
-
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.replace(",", " ").split()]
+def _parse_list(text: str, kind=float) -> list:
+    return [kind(tok) for tok in text.replace(",", " ").split()]
 
 
 def load_sweep_config(path: str) -> SweepConfig:
@@ -147,45 +122,20 @@ def load_sweep_config(path: str) -> SweepConfig:
     grid = parser["grid"] if parser.has_section("grid") else {}
     gammas: list[float] = []
     if "gamma" in grid:
-        gammas = _parse_float_list(grid["gamma"])
+        gammas = _parse_list(grid["gamma"])
     elif "gamma_start" in grid:
         count = int(grid["gamma_count"])
         gammas = list(
             np.linspace(float(grid["gamma_start"]), float(grid["gamma_stop"]), count)
         )
-    ns = _parse_int_list(grid["n"]) if "n" in grid else []
-    opt_kwargs = {}
-    if parser.has_section("optimizer"):
-        sec = parser["optimizer"]
-        if "objective_tolerance" in sec:
-            opt_kwargs["objective_tolerance"] = float(sec["objective_tolerance"])
-        if "max_iterations" in sec:
-            opt_kwargs["max_iterations"] = int(sec["max_iterations"])
-    out_path = "sweep.csv"
-    out_format = "csv"
-    if parser.has_section("output"):
-        out_path = parser["output"].get("path", out_path)
-        out_format = parser["output"].get("format", out_format)
-    return SweepConfig(gammas, ns, OptimizerConfig(**opt_kwargs), out_path, out_format)
-
-
-def _sweep_rows(results: list[CapacityResult], n_cols: int) -> list[list[str]]:
-    rows = []
-    for res in results:
-        row = [
-            fmt(res.gamma),
-            str(res.n_max),
-            fmt(res.q_bits),
-            "true" if res.converged else "false",
-            str(res.iterations),
-            fmt(res.mean_energy()) if res.p_opt is not None else "",
-        ]
-        probs = ["" for _ in range(n_cols)]
-        if res.p_opt is not None:
-            for m, pm in enumerate(res.p_opt.p):
-                probs[m] = fmt(pm)
-        rows.append(row + probs)
-    return rows
+    ns = _parse_list(grid["n"], int) if "n" in grid else []
+    opt = parser["optimizer"] if parser.has_section("optimizer") else {}
+    keys = (("objective_tolerance", float), ("max_iterations", int))
+    optimizer = OptimizerConfig(**{key: kind(opt[key]) for key, kind in keys if key in opt})
+    out = parser["output"] if parser.has_section("output") else {}
+    return SweepConfig(
+        gammas, ns, optimizer, out.get("path", "sweep.csv"), out.get("format", "csv")
+    )
 
 
 def write_sweep_csv(results: list[CapacityResult], path: str) -> None:
@@ -193,28 +143,20 @@ def write_sweep_csv(results: list[CapacityResult], path: str) -> None:
     header = ["gamma", "N", "q_bits", "converged", "iterations", "mean_energy"]
     header += [f"p_{m}" for m in range(n_cols)]
     lines = [",".join(header)]
-    lines += [",".join(row) for row in _sweep_rows(results, n_cols)]
+    for res in results:
+        fields = _result_fields(res)
+        lines.append(",".join(_text(fields.get(key)) for key in header))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 
 
 def write_sweep_json(results: list[CapacityResult], path: str, config: SweepConfig) -> None:
-    body = {
-        "provenance": _provenance(config.canonical(), timestamp=False),
-        "results": [
-            {
-                "gamma": res.gamma,
-                "N": res.n_max,
-                "q_bits": res.q_bits,
-                "converged": res.converged,
-                "iterations": res.iterations,
-                "gradient_residual": res.gradient_residual,
-                "mean_energy": res.mean_energy() if res.p_opt is not None else None,
-                "p": list(map(float, res.p_opt.p)) if res.p_opt is not None else None,
-            }
-            for res in results
-        ],
-    }
+    rows = []
+    for res in results:
+        row = _result_fields(res)
+        p = [row.pop(f"p_{m}") for m in range(res.n_max + 1)] if res.p_opt is not None else None
+        rows.append({**row, "p": p})
+    body = {"provenance": _provenance(config.canonical()), "results": rows}
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(body, handle, indent=1, allow_nan=True)
         handle.write("\n")
@@ -245,23 +187,21 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite value > 0, got {text}")
+    return value
+
+
 def _add_optimizer_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-iterations", type=_positive_int, default=None)
-    sub.add_argument("--objective-tolerance", type=float, default=None)
+    sub.add_argument("--objective-tolerance", type=_positive_float, default=None)
 
 
 def _optimizer_from_flags(args, base: OptimizerConfig | None = None) -> OptimizerConfig:
-    cfg = base if base is not None else OptimizerConfig()
-    overrides = {}
-    if args.max_iterations is not None:
-        overrides["max_iterations"] = args.max_iterations
-    if args.objective_tolerance is not None:
-        overrides["objective_tolerance"] = args.objective_tolerance
-    if not overrides:
-        return cfg
-    merged = asdict(cfg)
-    merged.update(overrides)
-    return OptimizerConfig(**merged)
+    flags = {key: getattr(args, key) for key in ("max_iterations", "objective_tolerance")}
+    return replace(base or OptimizerConfig(), **{k: v for k, v in flags.items() if v is not None})
 
 
 def build_parser() -> _Parser:
@@ -306,26 +246,29 @@ def build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_capacity(args) -> int:
+def _solve_point(args):
+    """Optimize the (N, gamma) point of a capacity/asymptotic command, with its inputs."""
     cfg = _optimizer_from_flags(args)
     result = maximize_coherent_information(args.n, DephasingParams(args.gamma), cfg)
-    inputs = {"command": "capacity", "n": args.n, "gamma": args.gamma, "optimizer": asdict(cfg)}
-    _print_record(_capacity_record(result, inputs))
+    inputs = {"command": args.command, "n": args.n, "gamma": args.gamma, "optimizer": asdict(cfg)}
+    return result, inputs
+
+
+def cmd_capacity(args) -> int:
+    result, inputs = _solve_point(args)
+    _print_record(_result_fields(result), inputs)
     return 0 if result.converged else 2
 
 
 def cmd_sweep(args) -> int:
-    if args.config:
-        try:
-            config = load_sweep_config(args.config)
-        except OSError as exc:
-            print(f"cannot read config: {exc}", file=sys.stderr)
-            return 3
-        except (configparser.Error, KeyError, ValueError) as exc:
-            print(f"invalid config: {exc}", file=sys.stderr)
-            return 1
-    else:
-        config = None
+    try:
+        config = load_sweep_config(args.config) if args.config else None
+    except OSError as exc:
+        print(f"cannot read config: {exc}", file=sys.stderr)
+        return 3
+    except (configparser.Error, KeyError, ValueError) as exc:
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return 1
 
     gammas = config.gamma_grid if config else []
     ns = config.n_grid if config else []
@@ -334,13 +277,13 @@ def cmd_sweep(args) -> int:
     out_format = args.format or (config.format if config else "csv")
     try:
         if args.gammas:
-            gammas = _parse_float_list(args.gammas)
+            gammas = _parse_list(args.gammas)
         elif args.gamma_start is not None:
             if args.gamma_stop is None or args.gamma_count is None:
                 raise ValueError("--gamma-start requires --gamma-stop and --gamma-count")
             gammas = list(np.linspace(args.gamma_start, args.gamma_stop, args.gamma_count))
         if args.ns:
-            ns = _parse_int_list(args.ns)
+            ns = _parse_list(args.ns, int)
         optimizer = _optimizer_from_flags(args, base)
         merged = SweepConfig(gammas, ns, optimizer, out_path, out_format)
     except ValueError as exc:
@@ -362,46 +305,28 @@ def cmd_sweep(args) -> int:
 
 def cmd_lower_bound(args) -> int:
     bound = two_point_lower_bound(DephasingParams(args.gamma), args.j)
-    inputs = {"command": "lower-bound", "gamma": args.gamma, "j": args.j}
-    record = ResultRecord.build(
-        {
-            "gamma": bound.gamma,
-            "j": bound.j,
-            "q_plus": bound.q_plus,
-            "q_minus": bound.q_minus,
-            "value_bits": bound.value_bits,
-        },
-        inputs,
-    )
-    _print_record(record)
+    _print_record(asdict(bound), {"command": "lower-bound", "gamma": args.gamma, "j": args.j})
     return 0
 
 
 def cmd_ansatz(args) -> int:
     sigma_opt, q_bits = maximize_over_ansatz(args.n, DephasingParams(args.gamma))
     inputs = {"command": "ansatz", "n": args.n, "gamma": args.gamma}
-    record = ResultRecord.build(
-        {"gamma": args.gamma, "N": args.n, "sigma_opt": sigma_opt, "q_bits": q_bits}, inputs
-    )
-    _print_record(record)
+    fields = {"gamma": args.gamma, "N": args.n, "sigma_opt": sigma_opt, "q_bits": q_bits}
+    _print_record(fields, inputs)
     return 0
 
 
 def cmd_asymptotic(args) -> int:
-    cfg = _optimizer_from_flags(args)
-    result = maximize_coherent_information(args.n, DephasingParams(args.gamma), cfg)
+    result, inputs = _solve_point(args)
     value = asymptotic_capacity(result.p_opt, DephasingParams(args.gamma))
-    inputs = {"command": "asymptotic", "n": args.n, "gamma": args.gamma, "optimizer": asdict(cfg)}
-    record = ResultRecord.build(
-        {
-            "gamma": args.gamma,
-            "N": args.n,
-            "q_asymptotic_bits": value,
-            "q_optimizer_bits": result.q_bits,
-        },
-        inputs,
-    )
-    _print_record(record)
+    fields = {
+        "gamma": args.gamma,
+        "N": args.n,
+        "q_asymptotic_bits": value,
+        "q_optimizer_bits": result.q_bits,
+    }
+    _print_record(fields, inputs)
     return 0
 
 

@@ -204,15 +204,20 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> FockDensityMatr
 
 
 # ---------------------------------------------------------------------------
-# entropy helper
+# entropy helpers
+
+def shannon_bits(values) -> float:
+    """-sum x log2 x over the positive entries of values, with 0 log 0 = 0."""
+    x = np.asarray(values, dtype=float)
+    x = x[x > 0.0]
+    if x.size == 0:
+        return 0.0
+    return float(-(x * np.log(x)).sum() / _LN2)
+
 
 def vn_entropy_bits(matrix: np.ndarray) -> float:
     """Von Neumann entropy -Tr[rho log2 rho] of a Hermitian PSD matrix."""
-    lam = np.linalg.eigvalsh(matrix)
-    lam = lam[lam > 0.0]
-    if lam.size == 0:
-        return 0.0
-    return max(float(-(lam * np.log(lam)).sum() / _LN2), 0.0)
+    return max(shannon_bits(np.linalg.eigvalsh(matrix)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +347,8 @@ def evolve_master_equation(rho: FockDensityMatrix, t: float, steps: int) -> Fock
     if steps < 1:
         raise ValueError("steps must be >= 1")
     dim = rho.dim
-    n = np.arange(dim, dtype=float)
-    nm = np.multiply.outer(n, n)
-    n2 = n ** 2
+    # elementwise action of the generator: -(j-k)^2 / 2 * rho[j, k]
+    gen = -0.5 * _diff_sq(dim)
     h = t / steps
     lam_max = (dim - 1) ** 2 / 2.0
     if h * lam_max > RK4_STABILITY_LIMIT:
@@ -356,15 +360,12 @@ def evolve_master_equation(rho: FockDensityMatrix, t: float, steps: int) -> Fock
             stacklevel=2,
         )
 
-    def rhs(r):
-        return nm * r - 0.5 * (n2[:, None] * r + r * n2[None, :])
-
     r = rho.entries.astype(complex)
     for _ in range(steps):
-        k1 = rhs(r)
-        k2 = rhs(r + 0.5 * h * k1)
-        k3 = rhs(r + 0.5 * h * k2)
-        k4 = rhs(r + h * k3)
+        k1 = gen * r
+        k2 = gen * (r + 0.5 * h * k1)
+        k3 = gen * (r + 0.5 * h * k2)
+        k4 = gen * (r + h * k3)
         r = r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return FockDensityMatrix(r)
 

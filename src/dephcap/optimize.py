@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import replica
+from . import fock, replica
 from .fock import DephasingParams
 from .replica import InputDistribution
 
@@ -100,11 +100,7 @@ class TwoPointBound:
 
 def binary_entropy_bits(q_plus: float, q_minus: float) -> float:
     """H2 of a two-point distribution, with 0 log 0 = 0."""
-    h = 0.0
-    for q in (q_plus, q_minus):
-        if q > 0.0:
-            h -= q * math.log(q)
-    return h / _LN2
+    return fock.shannon_bits([q_plus, q_minus])
 
 
 def two_point_lower_bound(params: DephasingParams, j: int) -> TwoPointBound:
@@ -133,9 +129,8 @@ def _objective_and_gradient_analytic(weights, gamma):
     sq = np.sqrt(weights)
     m = sq[:, None] * g_kernel * sq[None, :]
     a, v = np.linalg.eigh(m)
-    pos = a > 0.0
-    a_pos = a[pos]
-    entropy = float(-(a_pos * np.log(a_pos)).sum() / _LN2) if a_pos.size else 0.0
+    entropy = fock.shannon_bits(a)
+    # no 0 log 0 = 0 here: a zero weight makes J nan, which the ascent rejects
     shannon = float(-(weights * np.log(weights)).sum() / _LN2)
     # weights |<u_i|c_m>|^2 are <= 1 and <= a_i/p_m; modes below the relative
     # floor contribute O(a |log a|) and only amplify eigensolver noise

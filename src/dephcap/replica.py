@@ -18,8 +18,6 @@ import numpy as np
 from . import fock
 from .fock import DephasingParams
 
-_LN2 = math.log(2.0)
-
 SUM_TOL = 1e-12
 EIG_CLAMP = -1e-12
 
@@ -71,60 +69,31 @@ def gram_matrix(params: DephasingParams, indices) -> np.ndarray:
     return np.exp(-params.gamma * d ** 2 / 2.0)
 
 
-def _support_spectrum(weights: np.ndarray, indices: np.ndarray, gamma: float) -> np.ndarray:
-    """Eigenvalues of D^{1/2} G D^{1/2}, similar to A on the support of p.
+def _replica_spectrum(weights: np.ndarray, gamma: float) -> np.ndarray:
+    """Eigenvalues of D^{1/2} G D^{1/2}, similar to A on the support of the weights.
 
-    The symmetric form keeps the spectrum real and the solver stable; the
-    original Fock indices are retained so the kernel distances survive the
-    restriction to the support.
-    """
-    g = gram_matrix(DephasingParams(gamma), indices)
-    sq = np.sqrt(weights)
-    return np.linalg.eigvalsh(sq[:, None] * g * sq[None, :])
-
-
-def _entropy_bits_raw(weights: np.ndarray, gamma: float) -> float:
-    """-sum a ln a / ln 2 over the positive replica eigenvalues.
-
-    Works for any nonnegative weight vector (no unit-sum requirement) so
-    finite differences can probe off the simplex.
+    Zero-weight indices are dropped before diagonalizing; the original Fock
+    indices are kept so the kernel distances survive the restriction. The
+    weights need not sum to 1, so finite differences can probe off the
+    simplex. Roundoff eigenvalues in [-1e-12, 0) pass and contribute
+    nothing to the entropy; anything lower raises ValueError.
     """
     idx = np.flatnonzero(weights > 0.0)
-    if idx.size == 0:
-        return 0.0
-    a = _support_spectrum(weights[idx], idx, gamma)
-    a = a[a > 0.0]
-    if a.size == 0:
-        return 0.0
-    return float(-(a * np.log(a)).sum() / _LN2)
-
-
-def _shannon_bits_raw(weights: np.ndarray) -> float:
-    w = weights[weights > 0.0]
-    if w.size == 0:
-        return 0.0
-    return float(-(w * np.log(w)).sum() / _LN2)
+    sq = np.sqrt(weights[idx])
+    a = np.linalg.eigvalsh(sq[:, None] * gram_matrix(DephasingParams(gamma), idx) * sq[None, :])
+    if a.size and a.min() < EIG_CLAMP:
+        raise ValueError(f"replica spectrum has eigenvalue {a.min():.3e} below clamp")
+    return a
 
 
 def _objective_bits_raw(weights: np.ndarray, gamma: float) -> float:
     """H(p) - S(A(p)) as a smooth function of raw nonnegative weights."""
-    return _shannon_bits_raw(weights) - _entropy_bits_raw(weights, gamma)
+    return fock.shannon_bits(weights) - fock.shannon_bits(_replica_spectrum(weights, gamma))
 
 
 def entropy_replica(p: InputDistribution, params: DephasingParams) -> float:
-    """Entropy of the complementary output in bits, via the replica matrix.
-
-    Zero-probability indices are dropped before diagonalizing; roundoff
-    eigenvalues in [-1e-12, 0) are clamped to 0 and contribute nothing.
-    """
-    idx = np.flatnonzero(p.p > 0.0)
-    a = _support_spectrum(p.p[idx], idx, params.gamma)
-    if a.min() < EIG_CLAMP:
-        raise ValueError(f"replica spectrum has eigenvalue {a.min():.3e} below clamp")
-    a = a[a > 0.0]
-    if a.size == 0:
-        return 0.0
-    return max(float(-(a * np.log(a)).sum() / _LN2), 0.0)
+    """Entropy of the complementary output in bits, via the replica matrix."""
+    return max(fock.shannon_bits(_replica_spectrum(p.p, params.gamma)), 0.0)
 
 
 def entropy_bruteforce_oracle(
@@ -146,7 +115,7 @@ def entropy_bruteforce_oracle(
 
 def shannon_entropy(p: InputDistribution) -> float:
     """-sum p log2 p with 0 log 0 = 0, in bits."""
-    return _shannon_bits_raw(p.p)
+    return fock.shannon_bits(p.p)
 
 
 def coherent_information_diagonal(p: InputDistribution, params: DephasingParams) -> float:

@@ -8,22 +8,10 @@ import math
 
 import numpy as np
 
-from dephcap import cli
-from dephcap.fock import (
-    DephasingParams,
-    apply_dephasing,
-    coherent_information,
-    compose_check,
-    diagonal_state,
-    dilation_oracle,
-    evolve_master_equation,
-    kraus_apply,
-    master_equation_steps,
-    phase_average_oracle,
-    phase_rotate,
-    random_density_matrix,
-)
+from dephcap import cli, validate
+from dephcap.fock import DephasingParams
 from dephcap.optimize import (
+    _ansatz_weights,
     asymptotic_capacity,
     binary_entropy_bits,
     default_sigma,
@@ -31,13 +19,7 @@ from dephcap.optimize import (
     maximize_over_ansatz,
     objective_gradient,
 )
-from dephcap.replica import (
-    InputDistribution,
-    entropy_bruteforce_oracle,
-    entropy_replica,
-    _objective_bits_raw,
-)
-from dephcap.optimize import _ansatz_weights
+from dephcap.replica import InputDistribution, _objective_bits_raw
 
 LN2 = math.log(2.0)
 
@@ -70,91 +52,43 @@ def test_criterion_1_two_level_closed_form():
 
 
 def test_criterion_2_replica_vs_bruteforce():
-    rng = np.random.default_rng(2024)
-    worst = 0.0
-    for n_max in range(1, 6):
-        for gamma in (0.25, 1.0, 2.0):
-            params = DephasingParams(gamma)
-            for _ in range(50):
-                p = InputDistribution(rng.dirichlet(np.ones(n_max + 1)))
-                worst = max(
-                    worst,
-                    abs(entropy_replica(p, params) - entropy_bruteforce_oracle(p, params)),
-                )
+    res = validate.suite_replica_vs_bruteforce("full")
     report(
         2,
         "replica entropy equals brute-force coherent-mixture entropy (50 draws each)",
-        worst < 1e-8,
-        f"max deviation = {worst:.2e}",
+        res.passed and res.worst < 1e-8,
+        f"max deviation = {res.worst:.2e}",
     )
 
 
 def test_criterion_3_representation_equivalence():
-    rng = np.random.default_rng(31)
-    worst = 0.0
-    for _ in range(20):
-        dim = int(rng.integers(2, 7))  # N <= 5
-        rho = random_density_matrix(dim, rng)
-        for gamma in (0.25, 1.0, 2.0):
-            params = DephasingParams(gamma)
-            outs = [
-                apply_dephasing(rho, params).entries,
-                kraus_apply(rho, params).state.entries,
-                evolve_master_equation(
-                    rho, gamma, master_equation_steps(gamma, dim, 1e-10)
-                ).entries,
-                dilation_oracle(rho, params)[0].entries,
-                phase_average_oracle(rho, params, 96).entries,
-            ]
-            for i in range(len(outs)):
-                for k in range(i + 1, len(outs)):
-                    worst = max(worst, float(np.abs(outs[i] - outs[k]).max()))
+    res = validate.suite_representation_equivalence("full")
     report(
         3,
         "closed form, Kraus, master equation, dilation and quadrature agree pairwise",
-        worst < 1e-8,
-        f"max pairwise deviation = {worst:.2e}",
+        res.passed and res.worst < 1e-8,
+        f"max pairwise deviation = {res.worst:.2e}",
     )
 
 
 def test_criterion_4_semigroup_and_covariance():
-    rng = np.random.default_rng(41)
-    worst_semi = 0.0
-    worst_cov = 0.0
-    for _ in range(15):
-        rho = random_density_matrix(int(rng.integers(2, 6)), rng)
-        g1, g2 = rng.uniform(0.0, 3.0, 2)
-        composed, direct = compose_check(float(g1), float(g2), rho)
-        worst_semi = max(worst_semi, float(np.abs(composed.entries - direct.entries).max()))
-        theta = float(rng.uniform(0.0, 2.0 * math.pi))
-        params = DephasingParams(float(rng.uniform(0.0, 3.0)))
-        a = apply_dephasing(phase_rotate(rho, theta), params)
-        b = phase_rotate(apply_dephasing(rho, params), theta)
-        worst_cov = max(worst_cov, float(np.abs(a.entries - b.entries).max()))
+    semi = validate.suite_semigroup("full")
+    cov = validate.suite_covariance("full")
     report(
         4,
         "semigroup composition and phase covariance hold to 1e-14",
-        worst_semi < 1e-14 and worst_cov < 1e-14,
-        f"semigroup = {worst_semi:.2e}, covariance = {worst_cov:.2e}",
+        semi.passed and cov.passed and semi.worst < 1e-14 and cov.worst < 1e-14,
+        f"semigroup = {semi.worst:.2e}, covariance = {cov.worst:.2e}",
     )
 
 
 def test_criterion_5_proposition1_dominance():
-    rng = np.random.default_rng(51)
-    worst = -np.inf
-    for i in range(100):
-        dim = 3 + i % 3  # N in {2, 3, 4}
-        rho = random_density_matrix(dim, rng)
-        diag = diagonal_state(rho.diagonal())
-        for gamma in (0.5, 1.0):
-            params = DephasingParams(gamma)
-            excess = coherent_information(rho, params) - coherent_information(diag, params)
-            worst = max(worst, excess)
+    res = validate.suite_proposition1("full")
     report(
         5,
         "J(rho) <= J(diag rho) + 1e-9 on 100 random non-diagonal states",
-        worst <= 1e-9,
-        f"max excess = {worst:.2e}",
+        res.passed and res.worst <= 1e-9,
+        f"max excess = {res.worst:.2e}",
     )
 
 

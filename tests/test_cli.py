@@ -2,9 +2,11 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
-from dephcap import validate
+from dephcap import fock, replica, validate
+from dephcap.fock import DephasingParams, FockDensityMatrix
 from dephcap.cli import fmt, load_sweep_config, main
 from dephcap.optimize import binary_entropy_bits
 
@@ -73,9 +75,21 @@ class TestCapacityCommand:
         for m in range(5):
             assert float(rec[f"p_{m}"]) == pytest.approx(float(rec[f"p_{4 - m}"]), abs=1e-3)
 
-    def test_invalid_flags_exit_one(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["capacity", "--n", "1", "--gamma", "-2"],
+            *(
+                [command, "--n", "2", "--gamma", "1", "--objective-tolerance", value]
+                for command in ("capacity", "asymptotic")
+                for value in ("0", "-1", "nan")
+            ),
+        ],
+        ids=lambda argv: "-".join([argv[0], argv[-2].lstrip("-"), argv[-1]]),
+    )
+    def test_invalid_flags_exit_one(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            main(["capacity", "--n", "1", "--gamma", "-2"])
+            main(argv)
         assert exc.value.code == 1
         assert "usage" in capsys.readouterr().err
 
@@ -301,21 +315,44 @@ class TestValidateCommand:
         assert out.count("PASS") == 5
         assert "FAIL" not in out
 
-    def test_corrupted_gram_kernel_fails(self, capsys, monkeypatch):
-        # negative control: a mutated overlap kernel must trip the suites
-        from dephcap import replica
-
-        real = replica.gram_matrix
-
-        def corrupted(params, indices):
-            g = real(params, indices)
-            return g ** 1.01  # slightly wrong off-diagonal decay
-
-        monkeypatch.setattr(replica, "gram_matrix", corrupted)
+    @pytest.mark.parametrize(
+        "module, name, fault, suite",
+        [
+            (replica, "gram_matrix", lambda real: lambda params, idx: real(params, idx) ** 1.01,
+             "replica_vs_bruteforce"),
+            (fock, "kraus_apply",
+             lambda real: lambda rho, params: real(rho, params)._replace(
+                 state=fock.apply_dephasing(rho, DephasingParams(1.001 * params.gamma))),
+             "representation_equivalence"),
+            (fock, "apply_dephasing",
+             lambda real: lambda rho, params: real(rho, DephasingParams(params.gamma ** 1.1)),
+             "semigroup"),
+            (fock, "apply_dephasing",
+             lambda real: lambda rho, params: FockDensityMatrix(
+                 0.99 * real(rho, params).entries + 0.01 / rho.dim),
+             "covariance"),
+            (fock, "coherent_information",
+             lambda real: lambda rho, params: real(rho, params)
+             + np.abs(np.triu(rho.entries, 1)).sum(),
+             "proposition1_dominance"),
+        ],
+        ids=["skewed-gram-kernel", "skewed-kraus", "rates-do-not-add", "mixes-in-superposition",
+             "rewards-coherence"],
+    )
+    def test_corrupted_code_fails_its_suite(self, capsys, monkeypatch, module, name, fault, suite):
+        # negative controls: the acceptance tests trust these suites, so each
+        # must report FAIL when the code it checks is wrong
+        monkeypatch.setattr(module, name, fault(getattr(module, name)))
         rc = main(["validate", "--level", "quick"])
         out = capsys.readouterr().out
         assert rc == 1
-        assert "FAIL replica_vs_bruteforce" in out
+        assert f"FAIL {suite}" in out
+
+
+@pytest.mark.parametrize("suite", validate._SUITES, ids=lambda s: s.__name__)
+def test_suites_reject_unknown_level(suite):
+    with pytest.raises(ValueError, match="level"):
+        suite("fulll")
 
 
 def test_suite_results_have_details():
