@@ -1,7 +1,8 @@
 """Command-line front end: capacity points, sweeps, bounds and validation.
 
-Exit codes: 0 success, 1 invalid flags or config values, 2 optimizer
-non-convergence (capacity command), 3 I/O failure. Numbers in tabular
+Exit codes: 0 success, 1 invalid flags or config values, 2 uncertified:
+the duality gap exceeds 1e-5 of q (capacity command), 3 I/O failure.
+Records print that gap as gap=, in bits. Numbers in tabular
 output carry 12 significant digits with lowercase exponents so repeated
 runs diff byte-for-byte.
 """
@@ -14,7 +15,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -61,7 +62,7 @@ def _result_fields(res: CapacityResult) -> dict:
         "q_bits": res.q_bits,
         "converged": res.converged,
         "iterations": res.iterations,
-        "gradient_residual": res.gradient_residual,
+        "gap": res.gap,
         "mean_energy": res.mean_energy() if res.p_opt is not None else None,
     }
     if res.p_opt is not None:
@@ -85,8 +86,8 @@ def _print_record(fields: dict, inputs: dict) -> None:
 
 @dataclass
 class SweepConfig:
-    gamma_grid: list[float]
-    n_grid: list[int]
+    gamma_grid: list[float] = field(default_factory=list)
+    n_grid: list[int] = field(default_factory=list)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     output_path: str = "sweep.csv"
     format: str = "csv"
@@ -114,28 +115,40 @@ def _parse_list(text: str, kind=float) -> list:
     return [kind(tok) for tok in text.replace(",", " ").split()]
 
 
-def load_sweep_config(path: str) -> SweepConfig:
-    """Flat key-value file with [grid], [optimizer] and [output] sections."""
+def _sweep_file_fields(path: str) -> dict:
+    """The SweepConfig fields set by a file with [grid], [optimizer] and [output] sections.
+
+    Unset fields are left out, so that flags can complete a partial file
+    before the merged configuration is validated.
+    """
     parser = configparser.ConfigParser()
     with open(path, "r", encoding="utf-8") as handle:
         parser.read_file(handle)
     grid = parser["grid"] if parser.has_section("grid") else {}
-    gammas: list[float] = []
+    opt = parser["optimizer"] if parser.has_section("optimizer") else {}
+    out = parser["output"] if parser.has_section("output") else {}
+    fields: dict = {}
     if "gamma" in grid:
-        gammas = _parse_list(grid["gamma"])
+        fields["gamma_grid"] = _parse_list(grid["gamma"])
     elif "gamma_start" in grid:
         count = int(grid["gamma_count"])
-        gammas = list(
+        fields["gamma_grid"] = list(
             np.linspace(float(grid["gamma_start"]), float(grid["gamma_stop"]), count)
         )
-    ns = _parse_list(grid["n"], int) if "n" in grid else []
-    opt = parser["optimizer"] if parser.has_section("optimizer") else {}
-    keys = (("objective_tolerance", float), ("max_iterations", int))
-    optimizer = OptimizerConfig(**{key: kind(opt[key]) for key, kind in keys if key in opt})
-    out = parser["output"] if parser.has_section("output") else {}
-    return SweepConfig(
-        gammas, ns, optimizer, out.get("path", "sweep.csv"), out.get("format", "csv")
-    )
+    if "n" in grid:
+        fields["n_grid"] = _parse_list(grid["n"], int)
+    if "max_iterations" in opt:
+        fields["optimizer"] = OptimizerConfig(int(opt["max_iterations"]))
+    if "path" in out:
+        fields["output_path"] = out["path"]
+    if "format" in out:
+        fields["format"] = out["format"]
+    return fields
+
+
+def load_sweep_config(path: str) -> SweepConfig:
+    """A complete sweep configuration read from one file."""
+    return SweepConfig(**_sweep_file_fields(path))
 
 
 def write_sweep_csv(results: list[CapacityResult], path: str) -> None:
@@ -187,23 +200,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite value > 0, got {text}")
-    return value
-
-
-def _add_optimizer_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--max-iterations", type=_positive_int, default=None)
-    sub.add_argument("--objective-tolerance", type=_positive_float, default=None)
-
-
-def _optimizer_from_flags(args, base: OptimizerConfig | None = None) -> OptimizerConfig:
-    flags = {key: getattr(args, key) for key in ("max_iterations", "objective_tolerance")}
-    return replace(base or OptimizerConfig(), **{k: v for k, v in flags.items() if v is not None})
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="dephcap", description=__doc__)
     parser.add_argument("--version", action="version", version=f"dephcap {__version__}")
@@ -212,7 +208,7 @@ def build_parser() -> _Parser:
     cap = subs.add_parser("capacity", parents=[], help="optimize one (N, gamma) point")
     cap.add_argument("--n", type=_positive_int, required=True, help="truncation level N")
     cap.add_argument("--gamma", type=_nonneg_float, required=True)
-    _add_optimizer_flags(cap)
+    cap.add_argument("--max-iterations", type=_positive_int)
 
     swp = subs.add_parser("sweep", help="optimize a (gamma, N) grid to a table file")
     swp.add_argument("--config", help="INI-style sweep configuration file")
@@ -223,7 +219,7 @@ def build_parser() -> _Parser:
     swp.add_argument("--ns", help="comma/space separated N grid (overrides file)")
     swp.add_argument("--output", help="output table path (overrides file)")
     swp.add_argument("--format", choices=("csv", "json"), default=None)
-    _add_optimizer_flags(swp)
+    swp.add_argument("--max-iterations", type=_positive_int)
 
     low = subs.add_parser("lower-bound", help="two-point coherent-information bound")
     low.add_argument("--gamma", type=_nonneg_float, required=True)
@@ -236,7 +232,7 @@ def build_parser() -> _Parser:
     asy = subs.add_parser("asymptotic", help="large-gamma formula at the optimal input")
     asy.add_argument("--n", type=_positive_int, required=True)
     asy.add_argument("--gamma", type=_nonneg_float, required=True)
-    _add_optimizer_flags(asy)
+    asy.add_argument("--max-iterations", type=_positive_int)
 
     val = subs.add_parser("validate", help="run the cross-oracle suites")
     val.add_argument("--level", choices=("quick", "full"), default="quick")
@@ -248,7 +244,7 @@ def build_parser() -> _Parser:
 
 def _solve_point(args):
     """Optimize the (N, gamma) point of a capacity/asymptotic command, with its inputs."""
-    cfg = _optimizer_from_flags(args)
+    cfg = OptimizerConfig(args.max_iterations) if args.max_iterations else OptimizerConfig()
     result = maximize_coherent_information(args.n, DephasingParams(args.gamma), cfg)
     inputs = {"command": args.command, "n": args.n, "gamma": args.gamma, "optimizer": asdict(cfg)}
     return result, inputs
@@ -262,7 +258,7 @@ def cmd_capacity(args) -> int:
 
 def cmd_sweep(args) -> int:
     try:
-        config = load_sweep_config(args.config) if args.config else None
+        fields = _sweep_file_fields(args.config) if args.config else {}
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 3
@@ -270,22 +266,24 @@ def cmd_sweep(args) -> int:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1
 
-    gammas = config.gamma_grid if config else []
-    ns = config.n_grid if config else []
-    base = config.optimizer if config else OptimizerConfig()
-    out_path = args.output or (config.output_path if config else "sweep.csv")
-    out_format = args.format or (config.format if config else "csv")
     try:
         if args.gammas:
-            gammas = _parse_list(args.gammas)
+            fields["gamma_grid"] = _parse_list(args.gammas)
         elif args.gamma_start is not None:
             if args.gamma_stop is None or args.gamma_count is None:
                 raise ValueError("--gamma-start requires --gamma-stop and --gamma-count")
-            gammas = list(np.linspace(args.gamma_start, args.gamma_stop, args.gamma_count))
+            fields["gamma_grid"] = list(
+                np.linspace(args.gamma_start, args.gamma_stop, args.gamma_count)
+            )
         if args.ns:
-            ns = _parse_list(args.ns, int)
-        optimizer = _optimizer_from_flags(args, base)
-        merged = SweepConfig(gammas, ns, optimizer, out_path, out_format)
+            fields["n_grid"] = _parse_list(args.ns, int)
+        if args.max_iterations:
+            fields["optimizer"] = OptimizerConfig(args.max_iterations)
+        if args.output:
+            fields["output_path"] = args.output
+        if args.format:
+            fields["format"] = args.format
+        merged = SweepConfig(**fields)
     except ValueError as exc:
         print(f"invalid sweep configuration: {exc}", file=sys.stderr)
         return 1

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -77,14 +78,7 @@ class TestCapacityCommand:
 
     @pytest.mark.parametrize(
         "argv",
-        [
-            ["capacity", "--n", "1", "--gamma", "-2"],
-            *(
-                [command, "--n", "2", "--gamma", "1", "--objective-tolerance", value]
-                for command in ("capacity", "asymptotic")
-                for value in ("0", "-1", "nan")
-            ),
-        ],
+        [["capacity", "--n", "1", "--gamma", "-2"]],
         ids=lambda argv: "-".join([argv[0], argv[-2].lstrip("-"), argv[-1]]),
     )
     def test_invalid_flags_exit_one(self, capsys, argv):
@@ -104,15 +98,41 @@ class TestCapacityCommand:
         assert rc == 2
         assert rec["converged"] == "false"
 
+    def test_uncertified_large_gamma_exits_two(self, capsys):
+        # J is at rounding level at gamma 16, so no step certifies the gap
+        rc = main(["capacity", "--n", "8", "--gamma", "16"])
+        rec = parse_record(capsys.readouterr().out)
+        assert rc == 2
+        assert rec["converged"] == "false"
+        assert float(rec["gap"]) >= 0.0
+
+    def test_certified_record_reports_gap(self, capsys):
+        rc = main(["capacity", "--n", "8", "--gamma", "1"])
+        rec = parse_record(capsys.readouterr().out)
+        assert rc == 0
+        assert 0.0 <= float(rec["gap"]) <= 1e-5 * float(rec["q_bits"])
+
     @pytest.mark.parametrize(
         "argv",
         [
-            ["capacity", "--n", "2", "--gamma", "1", "--restarts", "1"],
-            ["capacity", "--n", "2", "--gamma", "1", "--seed", "3"],
-            ["capacity", "--n", "2", "--gamma", "1", "--gradient-mode", "analytic"],
-            ["sweep", "--gammas", "1", "--ns", "1", "--threads", "2"],
+            pytest.param(
+                ["capacity", "--n", "2", "--gamma", "1", "--restarts", "1"], id="restarts"
+            ),
+            pytest.param(["capacity", "--n", "2", "--gamma", "1", "--seed", "3"], id="seed"),
+            pytest.param(
+                ["capacity", "--n", "2", "--gamma", "1", "--gradient-mode", "analytic"],
+                id="gradient-mode",
+            ),
+            pytest.param(["sweep", "--gammas", "1", "--ns", "1", "--threads", "2"], id="threads"),
+            *(
+                pytest.param(
+                    [command, "--n", "2", "--gamma", "1", "--objective-tolerance", value],
+                    id=f"{command}-objective-tolerance-{value}",
+                )
+                for command in ("capacity", "asymptotic")
+                for value in ("0", "-1", "nan")
+            ),
         ],
-        ids=["restarts", "seed", "gradient-mode", "threads"],
     )
     def test_removed_flags_exit_one(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -231,6 +251,20 @@ class TestSweepCommand:
         assert "invalid" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "grid, flags",
+        [("gamma = 0.5, 1", ["--ns", "2"]), ("n = 1, 2", ["--gammas", "1"])],
+        ids=["file-gamma-flag-ns", "file-n-flag-gammas"],
+    )
+    def test_flags_complete_partial_file(self, tmp_path, grid, flags):
+        out = tmp_path / "completed.csv"
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(f"[grid]\n{grid}\n")
+        rc = main(["sweep", "--config", str(cfg), "--output", str(out), *flags])
+        assert rc == 0
+        with open(out, newline="") as handle:
+            assert len(list(csv.reader(handle))) == 3
+
     def test_per_point_failure_keeps_exit_zero(self, tmp_path):
         # an interior point failure must not fail the sweep; exercised via a
         # monkeypatched optimizer in test_point_failure below
@@ -270,14 +304,14 @@ class TestConfigLoader:
         assert loaded.n_grid == [1, 2]
 
     def test_optimizer_section(self, tmp_path):
+        # objective_tolerance is no longer a setting: like any unknown key it is ignored
         cfg = tmp_path / "opt.ini"
         cfg.write_text(
             "[grid]\ngamma = 1.0\nn = 1\n\n[optimizer]\nmax_iterations = 50\n"
             "objective_tolerance = 1e-9\n"
         )
         loaded = load_sweep_config(str(cfg))
-        assert loaded.optimizer.max_iterations == 50
-        assert loaded.optimizer.objective_tolerance == 1e-9
+        assert asdict(loaded.optimizer) == {"max_iterations": 50}
 
 
 class TestOtherCommands:

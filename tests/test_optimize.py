@@ -60,6 +60,19 @@ class TestTwoPointBound:
         with pytest.raises(ValueError):
             two_point_lower_bound(DephasingParams(1.0), 0)
 
+    def test_matches_high_precision_without_cancellation(self):
+        mpmath = pytest.importorskip("mpmath")
+        gammas = [k * 0.05 for k in range(1201)] + [1e-300, 1e-12, 1e-8, 1e-4]
+        with mpmath.workdps(400):
+            for gamma in gammas:
+                for j in (1, 2, 3):
+                    value = two_point_lower_bound(DephasingParams(gamma), j).value_bits
+                    e = mpmath.exp(-mpmath.mpf(gamma) * j ** 2 / 2)
+                    exact = ((1 + e) * mpmath.log(1 + e) + (1 - e) * mpmath.log(1 - e)
+                             if e < 1 else 2 * mpmath.log(2)) / (2 * mpmath.log(2))
+                    assert value >= 0.0
+                    assert abs(value - exact) <= 1e-12 * exact, (gamma, j)
+
 
 class TestObjectiveGradient:
     @pytest.mark.parametrize("n_max", [1, 2, 4, 6])
@@ -133,7 +146,7 @@ class TestMaximizeCoherentInformation:
     def test_result_bounds(self):
         res = maximize_coherent_information(5, DephasingParams(0.3))
         assert 0.0 <= res.q_bits <= math.log2(6)
-        assert res.gradient_residual >= 0.0
+        assert res.gap >= 0.0
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
@@ -146,6 +159,22 @@ class TestMaximizeCoherentInformation:
         p = res.p_opt.p
         assert np.abs(p - p[::-1]).max() <= 1e-9
         assert abs(res.mean_energy() - 12.0) <= 1e-9
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 8.0])
+    @pytest.mark.parametrize("n_max", [16, 24, 32])
+    def test_converged_means_relative_gap_certified(self, n_max, gamma):
+        # J is concave, so max_m dJ/dp_m - p.grad J bounds the distance to the optimum
+        res = maximize_coherent_information(n_max, DephasingParams(gamma))
+        g = objective_gradient(res.p_opt, DephasingParams(gamma), "analytic")
+        gap = g.max() - res.p_opt.p @ g
+        assert res.converged
+        assert gap <= 1e-5 * res.q_bits
+        assert res.gap == pytest.approx(gap, rel=1e-6, abs=1e-15)
+
+    def test_rounding_level_value_is_not_certified(self):
+        res = maximize_coherent_information(8, DephasingParams(16.0))
+        assert not res.converged
+        assert res.gap > 1e-5 * res.q_bits
 
     def test_value_dominates_two_point_bound(self):
         for gamma in (0.25, 1.0, 2.0):
@@ -295,10 +324,6 @@ class TestCapacitySweep:
 
 
 class TestOptimizerConfigValidation:
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(objective_tolerance=0.0)
-
     def test_rejects_bad_max_iterations(self):
         with pytest.raises(ValueError):
             OptimizerConfig(max_iterations=0)
