@@ -1,7 +1,8 @@
 """Command-line front end: capacity points, sweeps, bounds and validation.
 
 Exit codes: 0 success, 1 invalid flags or config values, 2 uncertified:
-the duality gap exceeds 1e-5 of q (capacity command), 3 I/O failure.
+the duality gap exceeds 1e-5 of q (capacity and asymptotic commands),
+3 I/O failure.
 Records print that gap as gap=, in bits. Numbers in tabular
 output carry 12 significant digits with lowercase exponents so repeated
 runs diff byte-for-byte.
@@ -323,9 +324,11 @@ def cmd_asymptotic(args) -> int:
         "N": args.n,
         "q_asymptotic_bits": value,
         "q_optimizer_bits": result.q_bits,
+        "converged": result.converged,
+        "gap": result.gap,
     }
     _print_record(fields, inputs)
-    return 0
+    return 0 if result.converged else 2
 
 
 def cmd_validate(args) -> int:

@@ -93,18 +93,20 @@ class TestCapacityCommand:
         assert exc.value.code == 1
 
     def test_nonconvergence_exits_two(self, capsys):
-        rc = main(["capacity", "--n", "4", "--gamma", "0.5", "--max-iterations", "2"])
+        # one Newton step from the start leaves N = 64 short of the gap
+        rc = main(["capacity", "--n", "64", "--gamma", "1", "--max-iterations", "1"])
         rec = parse_record(capsys.readouterr().out)
         assert rc == 2
         assert rec["converged"] == "false"
+        assert rec["iterations"] == "1"
 
-    def test_uncertified_large_gamma_exits_two(self, capsys):
-        # J is at rounding level at gamma 16, so no step certifies the gap
+    def test_gamma_sixteen_certifies(self, capsys):
+        # J is about 1e-7 here; its cancellation-free kernel still certifies it
         rc = main(["capacity", "--n", "8", "--gamma", "16"])
         rec = parse_record(capsys.readouterr().out)
-        assert rc == 2
-        assert rec["converged"] == "false"
-        assert float(rec["gap"]) >= 0.0
+        assert rc == 0
+        assert rec["converged"] == "true"
+        assert 0.0 <= float(rec["gap"]) <= 1e-5 * float(rec["q_bits"])
 
     def test_certified_record_reports_gap(self, capsys):
         rc = main(["capacity", "--n", "8", "--gamma", "1"])
@@ -334,6 +336,20 @@ class TestOtherCommands:
         assert rc == 0
         expected = math.exp(-8.0) / (2.0 * math.log(2.0))
         assert float(rec["q_asymptotic_bits"]) == pytest.approx(expected, rel=1e-3)
+
+    def test_asymptotic_record_carries_certificate(self, capsys):
+        rc = main(["asymptotic", "--n", "8", "--gamma", "16"])
+        rec = parse_record(capsys.readouterr().out)
+        assert rc == 0
+        assert rec["converged"] == "true"
+        assert 0.0 <= float(rec["gap"]) <= 1e-5 * float(rec["q_optimizer_bits"])
+
+    def test_asymptotic_uncertified_exits_two(self, capsys):
+        rc = main(["asymptotic", "--n", "64", "--gamma", "8", "--max-iterations", "1"])
+        rec = parse_record(capsys.readouterr().out)
+        assert rc == 2
+        assert rec["converged"] == "false"
+        assert float(rec["gap"]) > 1e-5 * float(rec["q_optimizer_bits"])
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

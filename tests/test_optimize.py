@@ -5,6 +5,9 @@ import pytest
 
 from dephcap.fock import DephasingParams
 from dephcap.optimize import (
+    _ansatz_weights,
+    _hessian,
+    _objective_and_gradient,
     CapacityResult,
     DiscreteGaussianAnsatz,
     OptimizerConfig,
@@ -38,6 +41,45 @@ def interior_distribution(rng, dim):
 
 def project(v):
     return v - v.mean()
+
+
+def mp_objective_and_gradient(weights, gamma, dps=80):
+    """J and unprojected dJ/dp in nats, from the eigenpairs of M in mpmath.
+
+    J = sum a ln a - sum p ln p and dJ/dp_m = -ln p_m + (M ln M)_mm / p_m,
+    the textbook forms whose cancellation the working precision absorbs.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        p = [mpmath.mpf(float(x)) for x in weights]
+        dim = len(p)
+        m = mpmath.matrix(dim, dim)
+        for i in range(dim):
+            for j in range(dim):
+                m[i, j] = mpmath.sqrt(p[i] * p[j]) * mpmath.exp(-mpmath.mpf(gamma) * (i - j) ** 2 / 2)
+        a, v = mpmath.eigsy(m)
+        a_ln_a = [x * mpmath.log(x) if x > 0 else mpmath.mpf(0) for x in a]
+        value = mpmath.fsum(a_ln_a) - mpmath.fsum(x * mpmath.log(x) for x in p)
+        grad = [
+            -mpmath.log(p[k]) + mpmath.fsum(v[k, l] ** 2 * a_ln_a[l] for l in range(dim)) / p[k]
+            for k in range(dim)
+        ]
+        return float(value), np.array([float(g) for g in grad])
+
+
+def q_inf_bits(gamma):
+    """D(p_gamma || uniform) in bits for gamma >= 16, p_gamma the wrapped normal.
+
+    With 2 pi p_gamma = 1 + x, x = 2 sum_n e^{-gamma n^2 / 2} cos(n phi), the
+    mean over phi of (1 + x) ln(1 + x) - x. |x| < 7e-4, so four terms of its
+    series x^2/2 - x^3/6 + ... reach relative 1e-14, and the 64-node
+    trapezoid rule is exact for the resulting trigonometric polynomial.
+    """
+    assert gamma >= 16.0
+    n = np.arange(1, 9)
+    phi = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    x = 2.0 * np.exp(-gamma * n ** 2 / 2.0) @ np.cos(np.outer(n, phi))
+    return float(np.mean(x ** 2 / 2 - x ** 3 / 6 + x ** 4 / 12 - x ** 5 / 20)) / LN2
 
 
 class TestTwoPointBound:
@@ -114,6 +156,56 @@ class TestObjectiveGradient:
             assert abs(g.sum()) < 1e-9
 
 
+class TestObjectiveHessian:
+    def test_matches_finite_difference_of_gradient(self):
+        # like acceptance criterion 10, one level up: central differences of
+        # the analytic gradient on 50 interior points
+        rng = np.random.default_rng(102)
+        worst = 0.0
+        for _ in range(50):
+            n_max = int(rng.integers(1, 7))
+            gamma = float(rng.uniform(0.3, 2.5))
+            p = interior_distribution(rng, n_max + 1).p
+            _, _, a, v = _objective_and_gradient(p, gamma)
+            hess = _hessian(p, a, v)
+            fd = np.empty_like(hess)
+            for k in range(p.size):
+                step = np.zeros(p.size)
+                step[k] = 1e-6
+                hi = _objective_and_gradient(p + step, gamma)[1]
+                lo = _objective_and_gradient(p - step, gamma)[1]
+                fd[:, k] = (hi - lo) / 2e-6
+            worst = max(worst, float(np.linalg.norm(hess - fd) / np.linalg.norm(fd)))
+        assert worst < 1e-6
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 4.0, 16.0])
+    def test_symmetric_and_annihilates_p(self, gamma):
+        # J is homogeneous of degree 1 in the weights, so H p = 0; each
+        # component is -1 from -diag(1/p) plus terms that sum to 1
+        p = _ansatz_weights(12, 2.0)
+        _, _, a, v = _objective_and_gradient(p, gamma)
+        hess = _hessian(p, a, v)
+        assert np.array_equal(hess, hess.T)
+        assert np.abs(hess @ p).max() <= 1e-13
+
+
+class TestObjectiveAgainstHighPrecision:
+    @pytest.mark.parametrize("n_max", [1, 2, 8])
+    def test_value_and_gradient_over_gamma(self, n_max):
+        # eigh resolves the e^{-gamma/2} couplings of M to about eps, so the
+        # relative accuracy of J and grad J is about eps e^{gamma/2}
+        rng = np.random.default_rng(60 + n_max)
+        points = [_ansatz_weights(n_max, default_sigma(n_max)),
+                  interior_distribution(rng, n_max + 1).p]
+        for gamma in [0.0, 0.5, 1.0, 2.0, 4.0] + list(range(8, 61, 4)):
+            tol = max(1e-12, 50 * np.finfo(float).eps * math.exp(gamma / 2.0))
+            for p in points:
+                value, grad, _, _ = _objective_and_gradient(p, gamma)
+                exact_value, exact_grad = mp_objective_and_gradient(p, gamma)
+                assert abs(value - exact_value) <= tol * exact_value, (gamma, p)
+                assert np.abs(grad - exact_grad).max() <= tol * np.abs(exact_grad).max()
+
+
 class TestMaximizeCoherentInformation:
     def test_two_level_closed_form_across_gammas(self):
         for gamma in np.linspace(0.1, 3.0, 7):
@@ -171,10 +263,43 @@ class TestMaximizeCoherentInformation:
         assert gap <= 1e-5 * res.q_bits
         assert res.gap == pytest.approx(gap, rel=1e-6, abs=1e-15)
 
-    def test_rounding_level_value_is_not_certified(self):
+    def test_gamma_sixteen_value_and_gap_match_oracle(self):
         res = maximize_coherent_information(8, DephasingParams(16.0))
-        assert not res.converged
-        assert res.gap > 1e-5 * res.q_bits
+        value, grad = mp_objective_and_gradient(res.p_opt.p, 16.0)
+        exact_gap = (grad.max() - res.p_opt.p @ grad) / LN2
+        assert res.converged
+        assert res.q_bits == pytest.approx(value / LN2, rel=1e-12, abs=0.0)
+        assert abs(res.gap - exact_gap) <= 1e-12 * res.q_bits
+        assert exact_gap <= 1e-5 * res.q_bits
+
+    def test_two_level_value_equals_two_point_bound(self):
+        # the N = 1 optimum is (1/2, 1/2), whose J is the two-point bound
+        for gamma in np.arange(0.0, 40.25, 0.25):
+            res = maximize_coherent_information(1, DephasingParams(gamma))
+            bound = two_point_lower_bound(DephasingParams(gamma), 1).value_bits
+            tol = 1e-9 if gamma <= 30.0 else 1e-6
+            assert res.q_bits == pytest.approx(bound, rel=tol, abs=0.0), gamma
+
+    @pytest.mark.parametrize("gamma", [32.0, 40.0])
+    def test_large_gamma_values_lie_between_anchors(self, gamma):
+        lower = two_point_lower_bound(DephasingParams(gamma), 1).value_bits
+        upper = q_inf_bits(gamma)
+        for n_max in (4, 8, 16, 24, 32):
+            res = maximize_coherent_information(n_max, DephasingParams(gamma))
+            p = res.p_opt.p
+            assert lower <= res.q_bits <= upper, n_max
+            assert np.abs(p - p[::-1]).max() <= 1e-12
+
+    def test_newton_steps_stay_few_as_n_grows(self):
+        for n_max in (8, 32, 64, 128):
+            res = maximize_coherent_information(n_max, DephasingParams(1.0))
+            assert res.converged
+            assert res.iterations <= 8, n_max
+
+    def test_n256_certifies(self):
+        res = maximize_coherent_information(256, DephasingParams(1.0))
+        assert res.converged
+        assert res.gap <= 1e-5 * res.q_bits
 
     def test_value_dominates_two_point_bound(self):
         for gamma in (0.25, 1.0, 2.0):
