@@ -1,5 +1,9 @@
 """Command-line front end: capacity points, sweeps, bounds and validation.
 
+A solve is a function of (N, gamma) alone; no flag or config key tunes it.
+Sweep config files are read for their [grid] and [output] sections; any
+other section is ignored.
+
 Exit codes: 0 success, 1 invalid flags or config values, 2 uncertified:
 the duality gap exceeds 1e-5 of q (capacity and asymptotic commands),
 3 I/O failure.
@@ -25,7 +29,6 @@ from . import __version__, validate
 from .fock import DephasingParams
 from .optimize import (
     CapacityResult,
-    OptimizerConfig,
     asymptotic_capacity,
     capacity_sweep,
     maximize_coherent_information,
@@ -89,7 +92,6 @@ def _print_record(fields: dict, inputs: dict) -> None:
 class SweepConfig:
     gamma_grid: list[float] = field(default_factory=list)
     n_grid: list[int] = field(default_factory=list)
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     output_path: str = "sweep.csv"
     format: str = "csv"
 
@@ -107,7 +109,6 @@ class SweepConfig:
         return {
             "gamma_grid": self.gamma_grid,
             "n_grid": self.n_grid,
-            "optimizer": asdict(self.optimizer),
             "format": self.format,
         }
 
@@ -117,16 +118,16 @@ def _parse_list(text: str, kind=float) -> list:
 
 
 def _sweep_file_fields(path: str) -> dict:
-    """The SweepConfig fields set by a file with [grid], [optimizer] and [output] sections.
+    """The SweepConfig fields set by a file with [grid] and [output] sections.
 
     Unset fields are left out, so that flags can complete a partial file
-    before the merged configuration is validated.
+    before the merged configuration is validated. Other sections and keys
+    are ignored.
     """
     parser = configparser.ConfigParser()
     with open(path, "r", encoding="utf-8") as handle:
         parser.read_file(handle)
     grid = parser["grid"] if parser.has_section("grid") else {}
-    opt = parser["optimizer"] if parser.has_section("optimizer") else {}
     out = parser["output"] if parser.has_section("output") else {}
     fields: dict = {}
     if "gamma" in grid:
@@ -138,8 +139,6 @@ def _sweep_file_fields(path: str) -> dict:
         )
     if "n" in grid:
         fields["n_grid"] = _parse_list(grid["n"], int)
-    if "max_iterations" in opt:
-        fields["optimizer"] = OptimizerConfig(int(opt["max_iterations"]))
     if "path" in out:
         fields["output_path"] = out["path"]
     if "format" in out:
@@ -209,7 +208,6 @@ def build_parser() -> _Parser:
     cap = subs.add_parser("capacity", parents=[], help="optimize one (N, gamma) point")
     cap.add_argument("--n", type=_positive_int, required=True, help="truncation level N")
     cap.add_argument("--gamma", type=_nonneg_float, required=True)
-    cap.add_argument("--max-iterations", type=_positive_int)
 
     swp = subs.add_parser("sweep", help="optimize a (gamma, N) grid to a table file")
     swp.add_argument("--config", help="INI-style sweep configuration file")
@@ -220,7 +218,6 @@ def build_parser() -> _Parser:
     swp.add_argument("--ns", help="comma/space separated N grid (overrides file)")
     swp.add_argument("--output", help="output table path (overrides file)")
     swp.add_argument("--format", choices=("csv", "json"), default=None)
-    swp.add_argument("--max-iterations", type=_positive_int)
 
     low = subs.add_parser("lower-bound", help="two-point coherent-information bound")
     low.add_argument("--gamma", type=_nonneg_float, required=True)
@@ -233,7 +230,6 @@ def build_parser() -> _Parser:
     asy = subs.add_parser("asymptotic", help="large-gamma formula at the optimal input")
     asy.add_argument("--n", type=_positive_int, required=True)
     asy.add_argument("--gamma", type=_nonneg_float, required=True)
-    asy.add_argument("--max-iterations", type=_positive_int)
 
     val = subs.add_parser("validate", help="run the cross-oracle suites")
     val.add_argument("--level", choices=("quick", "full"), default="quick")
@@ -243,16 +239,9 @@ def build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 # commands
 
-def _solve_point(args):
-    """Optimize the (N, gamma) point of a capacity/asymptotic command, with its inputs."""
-    cfg = OptimizerConfig(args.max_iterations) if args.max_iterations else OptimizerConfig()
-    result = maximize_coherent_information(args.n, DephasingParams(args.gamma), cfg)
-    inputs = {"command": args.command, "n": args.n, "gamma": args.gamma, "optimizer": asdict(cfg)}
-    return result, inputs
-
-
 def cmd_capacity(args) -> int:
-    result, inputs = _solve_point(args)
+    result = maximize_coherent_information(args.n, DephasingParams(args.gamma))
+    inputs = {"command": "capacity", "n": args.n, "gamma": args.gamma}
     _print_record(_result_fields(result), inputs)
     return 0 if result.converged else 2
 
@@ -278,8 +267,6 @@ def cmd_sweep(args) -> int:
             )
         if args.ns:
             fields["n_grid"] = _parse_list(args.ns, int)
-        if args.max_iterations:
-            fields["optimizer"] = OptimizerConfig(args.max_iterations)
         if args.output:
             fields["output_path"] = args.output
         if args.format:
@@ -289,7 +276,7 @@ def cmd_sweep(args) -> int:
         print(f"invalid sweep configuration: {exc}", file=sys.stderr)
         return 1
 
-    results = capacity_sweep(merged.gamma_grid, merged.n_grid, merged.optimizer)
+    results = capacity_sweep(merged.gamma_grid, merged.n_grid)
     try:
         if merged.format == "csv":
             write_sweep_csv(results, merged.output_path)
@@ -317,8 +304,9 @@ def cmd_ansatz(args) -> int:
 
 
 def cmd_asymptotic(args) -> int:
-    result, inputs = _solve_point(args)
-    value = asymptotic_capacity(result.p_opt, DephasingParams(args.gamma))
+    params = DephasingParams(args.gamma)
+    result = maximize_coherent_information(args.n, params)
+    value = asymptotic_capacity(result.p_opt, params)
     fields = {
         "gamma": args.gamma,
         "N": args.n,
@@ -327,6 +315,7 @@ def cmd_asymptotic(args) -> int:
         "converged": result.converged,
         "gap": result.gap,
     }
+    inputs = {"command": "asymptotic", "n": args.n, "gamma": args.gamma}
     _print_record(fields, inputs)
     return 0 if result.converged else 2
 

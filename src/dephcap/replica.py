@@ -87,7 +87,13 @@ def _replica_spectrum(weights: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def _objective_bits_raw(weights: np.ndarray, gamma: float) -> float:
-    """H(p) - S(A(p)) as a smooth function of raw nonnegative weights."""
+    """H(p) - S(A(p)) as a smooth function of raw nonnegative weights.
+
+    The two entropies cancel where J is far below 1, so the solver and the
+    ansatz search use the cancellation-free kernel in optimize instead.
+    This textbook form stays as the independent reference: the finite
+    differences of objective_gradient and acceptance criterion 8 use it.
+    """
     return fock.shannon_bits(weights) - fock.shannon_bits(_replica_spectrum(weights, gamma))
 
 

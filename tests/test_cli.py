@@ -1,15 +1,27 @@
 import csv
 import json
 import math
-from dataclasses import asdict
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dephcap import fock, replica, validate
+from dephcap import fock, optimize, replica, validate
 from dephcap.fock import DephasingParams, FockDensityMatrix
-from dephcap.cli import fmt, load_sweep_config, main
+from dephcap.cli import SweepConfig, build_parser, fmt, load_sweep_config, main
 from dephcap.optimize import binary_entropy_bits
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_block(heading, lang):
+    """The first ```lang fenced block after the given README heading line."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index(f"\n{heading}\n"):]
+    return re.search(rf"```{lang}\n(.*?)```", section, re.S).group(1)
 
 
 def closed_form_q2(gamma):
@@ -29,9 +41,6 @@ CONFIG = """
 [grid]
 gamma = 0.25, 1.0
 n = 1, 3
-
-[optimizer]
-max_iterations = 5000
 
 [output]
 path = {path}
@@ -92,9 +101,10 @@ class TestCapacityCommand:
             main(["capacity", "--gamma", "1.0"])
         assert exc.value.code == 1
 
-    def test_nonconvergence_exits_two(self, capsys):
+    def test_nonconvergence_exits_two(self, capsys, monkeypatch):
         # one Newton step from the start leaves N = 64 short of the gap
-        rc = main(["capacity", "--n", "64", "--gamma", "1", "--max-iterations", "1"])
+        monkeypatch.setattr(optimize, "MAX_NEWTON_STEPS", 1)
+        rc = main(["capacity", "--n", "64", "--gamma", "1"])
         rec = parse_record(capsys.readouterr().out)
         assert rc == 2
         assert rec["converged"] == "false"
@@ -133,6 +143,14 @@ class TestCapacityCommand:
                 )
                 for command in ("capacity", "asymptotic")
                 for value in ("0", "-1", "nan")
+            ),
+            *(
+                pytest.param([*argv, "--max-iterations", "5"], id=f"{argv[0]}-max-iterations")
+                for argv in (
+                    ["capacity", "--n", "2", "--gamma", "1"],
+                    ["sweep", "--gammas", "1", "--ns", "1"],
+                    ["asymptotic", "--n", "2", "--gamma", "1"],
+                )
             ),
         ],
     )
@@ -275,14 +293,12 @@ class TestSweepCommand:
         assert rc == 0
 
     def test_point_failure_row(self, tmp_path, monkeypatch):
-        from dephcap import optimize
-
         real = optimize.maximize_coherent_information
 
-        def flaky(n_max, params, config=None):
+        def flaky(n_max, params):
             if params.gamma == 1.0:
                 raise RuntimeError("synthetic point failure")
-            return real(n_max, params, config)
+            return real(n_max, params)
 
         monkeypatch.setattr(optimize, "maximize_coherent_information", flaky)
         out = tmp_path / "holes.csv"
@@ -306,14 +322,14 @@ class TestConfigLoader:
         assert loaded.n_grid == [1, 2]
 
     def test_optimizer_section(self, tmp_path):
-        # objective_tolerance is no longer a setting: like any unknown key it is ignored
+        # a solve has no settings: the retired [optimizer] section loads like any unknown one
         cfg = tmp_path / "opt.ini"
         cfg.write_text(
             "[grid]\ngamma = 1.0\nn = 1\n\n[optimizer]\nmax_iterations = 50\n"
             "objective_tolerance = 1e-9\n"
         )
         loaded = load_sweep_config(str(cfg))
-        assert asdict(loaded.optimizer) == {"max_iterations": 50}
+        assert loaded == SweepConfig(gamma_grid=[1.0], n_grid=[1])
 
 
 class TestOtherCommands:
@@ -344,8 +360,9 @@ class TestOtherCommands:
         assert rec["converged"] == "true"
         assert 0.0 <= float(rec["gap"]) <= 1e-5 * float(rec["q_optimizer_bits"])
 
-    def test_asymptotic_uncertified_exits_two(self, capsys):
-        rc = main(["asymptotic", "--n", "64", "--gamma", "8", "--max-iterations", "1"])
+    def test_asymptotic_uncertified_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(optimize, "MAX_NEWTON_STEPS", 1)
+        rc = main(["asymptotic", "--n", "64", "--gamma", "8"])
         rec = parse_record(capsys.readouterr().out)
         assert rc == 2
         assert rec["converged"] == "false"
@@ -409,3 +426,24 @@ def test_suite_results_have_details():
     outcome = validate.suite_semigroup("quick")
     assert outcome.passed
     assert "defect" in outcome.detail
+
+
+class TestReadmeDrift:
+    # the README's examples must track the CLI: a flag the parser no longer
+    # knows, or an example config that no longer loads, fails here
+
+    def test_command_lines_parse(self):
+        lines = [
+            shlex.split(line, comments=True)
+            for line in readme_block("## Command line", "sh").splitlines()
+            if line.startswith("dephcap ")
+        ]
+        assert len(lines) >= 6
+        for argv in lines:
+            build_parser().parse_args(argv[1:])
+
+    def test_sweep_config_example_loads(self, tmp_path):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(readme_block("### Sweep configuration", "ini"))
+        loaded = load_sweep_config(str(cfg))
+        assert loaded.gamma_grid and loaded.n_grid

@@ -5,12 +5,12 @@ import pytest
 
 from dephcap.fock import DephasingParams
 from dephcap.optimize import (
+    _ansatz_value_bits,
     _ansatz_weights,
     _hessian,
     _objective_and_gradient,
     CapacityResult,
     DiscreteGaussianAnsatz,
-    OptimizerConfig,
     ansatz_distribution,
     asymptotic_capacity,
     binary_entropy_bits,
@@ -373,6 +373,23 @@ class TestMaximizeOverAnsatz:
         assert sigma > 0.99 * 15.0
         assert q == pytest.approx(2.0, abs=1e-4)
 
+    @pytest.mark.parametrize("n_max, sigma", [(4, 0.0522), (4, 0.0533), (5, 0.0636), (64, 0.3)])
+    def test_value_finite_where_tail_weights_underflow(self, n_max, sigma):
+        # tail weights here are 0 or subnormal, where phi(a / p) overflows to inf or nan
+        assert _ansatz_weights(n_max, sigma).min() < 1e-300
+        value = _ansatz_value_bits(n_max, sigma, 1.0)
+        assert math.isfinite(value) and 0.0 <= value <= math.log2(n_max + 1)
+
+    @pytest.mark.parametrize("gamma", [30.0, 40.0])
+    @pytest.mark.parametrize("n_max", [4, 8, 9, 16])
+    def test_large_gamma_value_between_anchors(self, n_max, gamma):
+        # J is of order e^-gamma here, far below the rounding of H(p) - S(A)
+        params = DephasingParams(gamma)
+        sigma, q = maximize_over_ansatz(n_max, params)
+        assert two_point_lower_bound(params, 1).value_bits <= q <= q_inf_bits(gamma)
+        fit = default_sigma(n_max)
+        assert abs(sigma - fit) <= 0.25 * fit
+
 
 class TestAsymptoticCapacity:
     def test_two_level_limit_value(self):
@@ -446,12 +463,6 @@ class TestCapacitySweep:
         good = [r for r in results if not math.isnan(r.q_bits)]
         assert len(failed) == 1 and not failed[0].converged
         assert len(good) == 1 and good[0].converged
-
-
-class TestOptimizerConfigValidation:
-    def test_rejects_bad_max_iterations(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(max_iterations=0)
 
 
 def test_optimum_is_concave_certificate():
