@@ -6,7 +6,7 @@ other section is ignored.
 
 Exit codes: 0 success, 1 invalid flags or config values, 2 uncertified:
 the duality gap exceeds 1e-5 of q (capacity and asymptotic commands),
-3 I/O failure.
+3 I/O failure, including stdout closed before all output was written.
 Records print that gap as gap=, in bits. Numbers in tabular
 output carry 12 significant digits with lowercase exponents so repeated
 runs diff byte-for-byte.
@@ -19,6 +19,7 @@ import configparser
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -340,7 +341,15 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return _DISPATCH[args.command](args)
+    try:
+        code = _DISPATCH[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so the flush at
+        # interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 3
 
 
 def entry() -> None:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -124,14 +123,6 @@ class CoherentVector:
 
     def residual(self) -> float:
         return max(1.0 - float(np.vdot(self.entries, self.entries).real), 0.0)
-
-    def require_residual(self, bound: float) -> None:
-        r = self.residual()
-        if r > bound:
-            raise TruncationError(
-                f"coherent state |{self.amplitude}> truncated at dim {self.dim} "
-                f"has residual {r:.3e} > {bound:.3e}"
-            )
 
 
 @dataclass(frozen=True)
@@ -288,36 +279,15 @@ def adaptive_j_max(params: DephasingParams, dim: int, tol: float = DEFAULT_RESID
     return j
 
 
-class KrausApplication(NamedTuple):
-    state: FockDensityMatrix
-    residual: float
-    j_max: int
-
-
-def kraus_apply(
-    rho: FockDensityMatrix,
-    params: DephasingParams,
-    j_max: int | None = None,
-    residual_tol: float = DEFAULT_RESIDUAL_BOUND,
-) -> KrausApplication:
+def kraus_apply(rho: FockDensityMatrix, params: DephasingParams) -> FockDensityMatrix:
     """Truncated Kraus sum sum_{j<=j_max} K_j rho K_j^dag.
 
-    j_max=None picks the truncation adaptively so the completeness
-    residual stays below residual_tol; an explicit j_max that misses the
-    tolerance raises TruncationError (the truncated sum would not be
-    trace preserving at the requested accuracy).
+    j_max comes from adaptive_j_max, so the completeness residual is below
+    DEFAULT_RESIDUAL_BOUND and the truncated sum is trace preserving to
+    that accuracy.
     """
-    if j_max is None:
-        j_max = adaptive_j_max(params, rho.dim, residual_tol)
-    residual = kraus_completeness_residual(params, rho.dim, j_max)
-    if residual > residual_tol:
-        raise TruncationError(
-            f"Kraus truncation j_max={j_max} leaves completeness residual "
-            f"{residual:.3e} > {residual_tol:.3e}"
-        )
-    k = kraus_operators(params, rho.dim, j_max)
-    out = np.einsum("ja,ab,jb->ab", k, rho.entries, k.conj())
-    return KrausApplication(FockDensityMatrix(out), residual, j_max)
+    k = kraus_operators(params, rho.dim, adaptive_j_max(params, rho.dim))
+    return FockDensityMatrix(np.einsum("ja,ab,jb->ab", k, rho.entries, k.conj()))
 
 
 def master_equation_steps(t: float, dim: int, tol: float = 1e-9) -> int:
@@ -368,14 +338,6 @@ def evolve_master_equation(rho: FockDensityMatrix, t: float, steps: int) -> Fock
         k4 = gen * (r + h * k3)
         r = r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return FockDensityMatrix(r)
-
-
-def compose_check(gamma1: float, gamma2: float, rho: FockDensityMatrix):
-    """Return (N_g2(N_g1(rho)), N_{g1+g2}(rho)) for the semigroup identity."""
-    first = apply_dephasing(rho, DephasingParams(gamma1))
-    composed = apply_dephasing(first, DephasingParams(gamma2))
-    direct = apply_dephasing(rho, DephasingParams(gamma1 + gamma2))
-    return composed, direct
 
 
 def phase_rotate(rho: FockDensityMatrix, theta: float) -> FockDensityMatrix:

@@ -68,23 +68,6 @@ class CapacityResult:
 
 
 @dataclass(frozen=True)
-class DiscreteGaussianAnsatz:
-    """p_m proportional to e^{-(m-mu)^2 / (2 sigma^2)} on m = 0..N, mu = N/2."""
-
-    n_max: int
-    sigma: float
-    mu: float | None = None
-
-    def __post_init__(self):
-        if self.n_max < 0:
-            raise ValueError("n_max must be >= 0")
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be > 0")
-        if self.mu is None:
-            object.__setattr__(self, "mu", self.n_max / 2.0)
-
-
-@dataclass(frozen=True)
 class TwoPointBound:
     """Coherent information of the equal mixture of |n> and |n+j>."""
 
@@ -93,11 +76,6 @@ class TwoPointBound:
     q_plus: float
     q_minus: float
     value_bits: float
-
-
-def binary_entropy_bits(q_plus: float, q_minus: float) -> float:
-    """H2 of a two-point distribution, with 0 log 0 = 0."""
-    return fock.shannon_bits([q_plus, q_minus])
 
 
 def two_point_lower_bound(params: DephasingParams, j: int) -> TwoPointBound:
@@ -165,6 +143,19 @@ def _objective_and_gradient(weights, gamma, levels=None):
     a = np.maximum(a, 0.0)
     grad = (v * v * _phi(a, weights)).sum(axis=1)
     return float(weights @ grad), grad, a, v
+
+
+def coherent_information_diagonal(p: InputDistribution, params: DephasingParams) -> float:
+    """J(diag p) = H(p) - S(complementary output), in bits.
+
+    Diagonal inputs are channel fixed points, so the channel-output entropy
+    is the Shannon entropy of p. J is evaluated by the cancellation-free
+    kernel on the levels whose weight is above 1e-300, at their own Fock
+    indices: below 4e-306, phi(a / p) overflows, and together the dropped
+    levels add less than 1e-290 to J.
+    """
+    levels = np.flatnonzero(p.p > 1e-300)
+    return _objective_and_gradient(p.p[levels], params.gamma, levels)[0] / _LN2
 
 
 def _log_divided_difference(x, y):
@@ -303,18 +294,21 @@ def default_sigma(n_max: int) -> float:
     return 0.2 * n_max + 0.6
 
 
-def _ansatz_weights(n_max: int, sigma: float, mu: float | None = None) -> np.ndarray:
-    centre = n_max / 2.0 if mu is None else mu
+def _ansatz_weights(n_max: int, sigma: float) -> np.ndarray:
     m = np.arange(n_max + 1, dtype=float)
-    z = -((m - centre) ** 2) / (2.0 * sigma ** 2)
+    z = -((m - n_max / 2.0) ** 2) / (2.0 * sigma ** 2)
     z -= z.max()
     w = np.exp(z)
     return w / w.sum()
 
 
-def ansatz_distribution(ansatz: DiscreteGaussianAnsatz) -> InputDistribution:
-    """Normalized discrete Gaussian on 0..N centered at mu (default N/2)."""
-    return InputDistribution(_ansatz_weights(ansatz.n_max, ansatz.sigma, ansatz.mu))
+def ansatz_distribution(n_max: int, sigma: float) -> InputDistribution:
+    """p_m proportional to e^{-(m - N/2)^2 / (2 sigma^2)} on m = 0..N."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    if not sigma > 0.0:
+        raise ValueError("sigma must be > 0")
+    return InputDistribution(_ansatz_weights(n_max, sigma))
 
 
 def maximize_coherent_information(n_max: int, params: DephasingParams) -> CapacityResult:
@@ -336,7 +330,7 @@ def maximize_coherent_information(n_max: int, params: DephasingParams) -> Capaci
     return CapacityResult(
         gamma=params.gamma,
         n_max=n_max,
-        q_bits=min(max(value / _LN2, 0.0), math.log2(n_max + 1)),
+        q_bits=value / _LN2,
         p_opt=InputDistribution(w),
         iterations=iterations,
         converged=gap <= GAP_RTOL * value,
@@ -370,20 +364,6 @@ def _golden_section_max(f, lo: float, hi: float, tol: float = 1e-10):
     return x, f(x)
 
 
-def _ansatz_value_bits(n_max: int, sigma: float, gamma: float) -> float:
-    """J in bits at the discrete Gaussian of width sigma, by the solver's kernel.
-
-    The cancellation-free kernel keeps J's relative accuracy where J is
-    far below 1. It runs on the levels whose weight is above 1e-300, at
-    their own Fock indices: narrow widths push tail weights to 0 or below
-    4e-306, where phi(a / p) overflows, and together the dropped levels
-    add less than 1e-290 to J.
-    """
-    w = _ansatz_weights(n_max, sigma)
-    levels = np.flatnonzero(w > 1e-300)
-    return _objective_and_gradient(w[levels], gamma, levels)[0] / _LN2
-
-
 def maximize_over_ansatz(n_max: int, params: DephasingParams):
     """One-dimensional maximization of J over the ansatz width sigma.
 
@@ -392,10 +372,11 @@ def maximize_over_ansatz(n_max: int, params: DephasingParams):
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    sigma_opt, q = _golden_section_max(
-        lambda sigma: _ansatz_value_bits(n_max, sigma, params.gamma), 0.05, 5.0 * n_max
+    return _golden_section_max(
+        lambda sigma: coherent_information_diagonal(ansatz_distribution(n_max, sigma), params),
+        0.05,
+        5.0 * n_max,
     )
-    return sigma_opt, max(q, 0.0)
 
 
 # ---------------------------------------------------------------------------

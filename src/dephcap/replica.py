@@ -1,16 +1,17 @@
-"""Entropy of the complementary output through the small replica matrix.
+"""Input distributions, the Gram kernel and the complementary-output entropy.
 
 The environment output for a diagonal input with weights p is the
 coherent-state mixture Omega = sum_m p_m |sqrt(gamma) m><sqrt(gamma) m|.
 Its nonzero spectrum equals that of the (N+1)x(N+1) matrix
 A[i, j] = e^{-gamma (i-j)^2 / 2} p_j, so the entropy never requires the
 large environment space. A brute-force construction of Omega on a
-verified truncation serves as the independent oracle.
+verified truncation serves as the independent oracle. The coherent
+information J itself is evaluated in optimize; the textbook H(p) - S(A)
+here is kept only as an independent reference for it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,13 +56,6 @@ class InputDistribution:
         return float(np.arange(self.dim) @ self.p)
 
 
-def gram_overlap(params: DephasingParams, i: int, j: int) -> float:
-    """Overlap <sqrt(gamma) i | sqrt(gamma) j> = e^{-gamma (i-j)^2 / 2}."""
-    if i < 0 or j < 0:
-        raise ValueError("indices must be nonnegative")
-    return math.exp(-params.gamma * (i - j) ** 2 / 2.0)
-
-
 def gram_matrix(params: DephasingParams, indices) -> np.ndarray:
     """Gram kernel e^{-gamma (i-j)^2 / 2} over the given Fock indices."""
     idx = np.asarray(indices, dtype=float)
@@ -89,8 +83,9 @@ def _replica_spectrum(weights: np.ndarray, gamma: float) -> np.ndarray:
 def _objective_bits_raw(weights: np.ndarray, gamma: float) -> float:
     """H(p) - S(A(p)) as a smooth function of raw nonnegative weights.
 
-    The two entropies cancel where J is far below 1, so the solver and the
-    ansatz search use the cancellation-free kernel in optimize instead.
+    The two entropies cancel where J is far below 1, so
+    optimize.coherent_information_diagonal and the solver use the
+    cancellation-free kernel instead.
     This textbook form stays as the independent reference: the finite
     differences of objective_gradient and acceptance criterion 8 use it.
     """
@@ -122,12 +117,3 @@ def entropy_bruteforce_oracle(
 def shannon_entropy(p: InputDistribution) -> float:
     """-sum p log2 p with 0 log 0 = 0, in bits."""
     return fock.shannon_bits(p.p)
-
-
-def coherent_information_diagonal(p: InputDistribution, params: DephasingParams) -> float:
-    """J(diag p) = H(p) - S(complementary output), in bits.
-
-    Diagonal inputs are channel fixed points, so the channel-output
-    entropy is exactly the Shannon entropy of p.
-    """
-    return shannon_entropy(p) - entropy_replica(p, params)

@@ -9,11 +9,10 @@ import math
 import numpy as np
 
 from dephcap import cli, validate
-from dephcap.fock import DephasingParams
+from dephcap.fock import DephasingParams, shannon_bits
 from dephcap.optimize import (
     _ansatz_weights,
     asymptotic_capacity,
-    binary_entropy_bits,
     default_sigma,
     maximize_coherent_information,
     maximize_over_ansatz,
@@ -26,7 +25,7 @@ LN2 = math.log(2.0)
 
 def closed_form_q2(gamma: float) -> float:
     e = math.exp(-gamma / 2.0)
-    return 1.0 - binary_entropy_bits((1 + e) / 2.0, (1 - e) / 2.0)
+    return 1.0 - shannon_bits([(1 + e) / 2.0, (1 - e) / 2.0])
 
 
 def report(number: int, description: str, ok: bool, detail: str = "") -> None:

@@ -1,8 +1,11 @@
 import csv
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,6 @@ import pytest
 from dephcap import fock, optimize, replica, validate
 from dephcap.fock import DephasingParams, FockDensityMatrix
 from dephcap.cli import SweepConfig, build_parser, fmt, load_sweep_config, main
-from dephcap.optimize import binary_entropy_bits
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -26,7 +28,7 @@ def readme_block(heading, lang):
 
 def closed_form_q2(gamma):
     e = math.exp(-gamma / 2.0)
-    return 1.0 - binary_entropy_bits((1 + e) / 2.0, (1 - e) / 2.0)
+    return 1.0 - fock.shannon_bits([(1 + e) / 2.0, (1 - e) / 2.0])
 
 
 def parse_record(text):
@@ -158,6 +160,21 @@ class TestCapacityCommand:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
+
+    def test_closed_stdout_is_an_io_failure(self):
+        # a reader that goes away early (`| head -1`) is exit 3, not a traceback
+        src = Path(fock.__file__).resolve().parents[1]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dephcap.cli", "capacity", "--n", "1", "--gamma", "1"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 3
+        assert "Traceback" not in err
 
 
 class TestSweepCommand:
@@ -388,8 +405,7 @@ class TestValidateCommand:
             (replica, "gram_matrix", lambda real: lambda params, idx: real(params, idx) ** 1.01,
              "replica_vs_bruteforce"),
             (fock, "kraus_apply",
-             lambda real: lambda rho, params: real(rho, params)._replace(
-                 state=fock.apply_dephasing(rho, DephasingParams(1.001 * params.gamma))),
+             lambda real: lambda rho, params: real(rho, DephasingParams(1.001 * params.gamma)),
              "representation_equivalence"),
             (fock, "apply_dephasing",
              lambda real: lambda rho, params: real(rho, DephasingParams(params.gamma ** 1.1)),
@@ -447,3 +463,6 @@ class TestReadmeDrift:
         cfg.write_text(readme_block("### Sweep configuration", "ini"))
         loaded = load_sweep_config(str(cfg))
         assert loaded.gamma_grid and loaded.n_grid
+
+    def test_library_example_runs(self, capsys):
+        exec(readme_block("## Library use", "python"), {})

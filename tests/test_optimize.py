@@ -3,25 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from dephcap.fock import DephasingParams
+from dephcap.fock import DephasingParams, shannon_bits
 from dephcap.optimize import (
-    _ansatz_value_bits,
     _ansatz_weights,
     _hessian,
     _objective_and_gradient,
     CapacityResult,
-    DiscreteGaussianAnsatz,
     ansatz_distribution,
     asymptotic_capacity,
-    binary_entropy_bits,
     capacity_sweep,
+    coherent_information_diagonal,
     default_sigma,
     maximize_coherent_information,
     maximize_over_ansatz,
     objective_gradient,
     two_point_lower_bound,
 )
-from dephcap.replica import InputDistribution, coherent_information_diagonal
+from dephcap.replica import InputDistribution
 
 LN2 = math.log(2.0)
 
@@ -29,7 +27,7 @@ LN2 = math.log(2.0)
 def closed_form_q2(gamma):
     """1 - H2((1 +- e^{-gamma/2})/2), the exact N=1 capacity."""
     e = math.exp(-gamma / 2.0)
-    return 1.0 - binary_entropy_bits((1 + e) / 2.0, (1 - e) / 2.0)
+    return 1.0 - shannon_bits([(1 + e) / 2.0, (1 - e) / 2.0])
 
 
 def interior_distribution(rng, dim):
@@ -326,29 +324,29 @@ class TestCapacityResultValidation:
 
 class TestAnsatz:
     def test_normalization_is_tight(self):
-        p = ansatz_distribution(DiscreteGaussianAnsatz(6, 1.3))
+        p = ansatz_distribution(6, 1.3)
         assert abs(p.p.sum() - 1.0) < 1e-14
 
     def test_large_sigma_is_uniform(self):
-        p = ansatz_distribution(DiscreteGaussianAnsatz(4, 1e6))
+        p = ansatz_distribution(4, 1e6)
         assert p.p == pytest.approx(0.2, abs=1e-9)
 
     def test_small_sigma_is_point_mass_even_n(self):
-        p = ansatz_distribution(DiscreteGaussianAnsatz(4, 1e-3))
+        p = ansatz_distribution(4, 1e-3)
         assert p.p[2] == pytest.approx(1.0, abs=1e-12)
 
     def test_odd_n_center_pair_equal_and_maximal(self):
-        p = ansatz_distribution(DiscreteGaussianAnsatz(5, 0.9)).p
+        p = ansatz_distribution(5, 0.9).p
         assert p[2] == p[3]
         assert p[2] == p.max()
 
     def test_symmetry(self):
-        p = ansatz_distribution(DiscreteGaussianAnsatz(7, 1.7)).p
+        p = ansatz_distribution(7, 1.7).p
         assert np.array_equal(p, p[::-1])
 
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
-            DiscreteGaussianAnsatz(3, 0.0)
+            ansatz_distribution(3, 0.0)
 
 
 class TestMaximizeOverAnsatz:
@@ -377,7 +375,9 @@ class TestMaximizeOverAnsatz:
     def test_value_finite_where_tail_weights_underflow(self, n_max, sigma):
         # tail weights here are 0 or subnormal, where phi(a / p) overflows to inf or nan
         assert _ansatz_weights(n_max, sigma).min() < 1e-300
-        value = _ansatz_value_bits(n_max, sigma, 1.0)
+        value = coherent_information_diagonal(
+            ansatz_distribution(n_max, sigma), DephasingParams(1.0)
+        )
         assert math.isfinite(value) and 0.0 <= value <= math.log2(n_max + 1)
 
     @pytest.mark.parametrize("gamma", [30.0, 40.0])

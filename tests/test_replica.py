@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dephcap.fock import CoherentVector, DephasingParams, TruncationError, default_env_dim
+from dephcap.optimize import coherent_information_diagonal, two_point_lower_bound
 from dephcap.replica import (
     InputDistribution,
-    coherent_information_diagonal,
     entropy_bruteforce_oracle,
     entropy_replica,
     gram_matrix,
-    gram_overlap,
     shannon_entropy,
 )
 
@@ -56,25 +55,21 @@ class TestInputDistribution:
 
 class TestGramOverlap:
     def test_unit_diagonal(self):
-        assert gram_overlap(DephasingParams(1.7), 3, 3) == 1.0
+        assert gram_matrix(DephasingParams(1.7), [3])[0, 0] == 1.0
 
     def test_symmetric(self):
-        params = DephasingParams(0.6)
-        assert gram_overlap(params, 1, 4) == gram_overlap(params, 4, 1)
+        g = gram_matrix(DephasingParams(0.6), [1, 4])
+        assert g[0, 1] == g[1, 0]
 
     def test_value_and_truncated_inner_product(self):
         # e^{-2} against the explicit overlap of truncated coherent vectors
         params = DephasingParams(1.0)
-        value = gram_overlap(params, 2, 0)
+        value = gram_matrix(params, [2, 0])[0, 1]
         assert value == pytest.approx(math.exp(-2.0), abs=1e-15)
         dim = default_env_dim(params, 2)
         a = CoherentVector.build(math.sqrt(1.0) * 2, dim).entries
         b = CoherentVector.build(0.0, dim).entries
         assert np.vdot(b, a).real == pytest.approx(value, abs=1e-12)
-
-    def test_rejects_negative_indices(self):
-        with pytest.raises(ValueError):
-            gram_overlap(DephasingParams(1.0), -1, 0)
 
 
 class TestReplicaMatrix:
@@ -230,6 +225,13 @@ class TestCoherentInformationDiagonal:
         value = coherent_information_diagonal(p, DephasingParams(1.0))
         assert value == pytest.approx(expected, abs=1e-12)
         assert value == pytest.approx(0.2846508332892783, abs=1e-15)
+        # J is of order e^-gamma at large gamma, far below the rounding of
+        # H(p) - S(A); the kernel keeps relative accuracy about eps e^{gamma/2}
+        for gamma in (0.0, 1.0, 8.0, 16.0, 24.0, 32.0, 40.0):
+            params = DephasingParams(gamma)
+            exact = two_point_lower_bound(params, 1).value_bits
+            tol = max(1e-12, 50 * np.finfo(float).eps * math.exp(gamma / 2.0))
+            assert abs(coherent_information_diagonal(p, params) - exact) <= tol * exact, gamma
 
     def test_decays_to_zero_from_above(self):
         rng = np.random.default_rng(5)
