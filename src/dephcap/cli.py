@@ -5,8 +5,9 @@ Sweep config files are read for their [grid] and [output] sections; any
 other section is ignored.
 
 Exit codes: 0 success, 1 invalid flags or config values, 2 uncertified:
-the duality gap exceeds 1e-5 of q (capacity and asymptotic commands),
-3 I/O failure, including stdout closed before all output was written.
+the duality gap exceeds 1e-5 of q, or gamma is past the accuracy of J
+(capacity and asymptotic commands), 3 I/O failure, including stdout
+closed before all output was written.
 Records print that gap as gap=, in bits. Numbers in tabular
 output carry 12 significant digits with lowercase exponents so repeated
 runs diff byte-for-byte.
@@ -165,14 +166,18 @@ def write_sweep_csv(results: list[CapacityResult], path: str) -> None:
 
 
 def write_sweep_json(results: list[CapacityResult], path: str, config: SweepConfig) -> None:
+    """Strict JSON: the nan q_bits and gap of a failed point are written as null."""
     rows = []
     for res in results:
-        row = _result_fields(res)
+        row = {
+            key: None if isinstance(value, float) and not math.isfinite(value) else value
+            for key, value in _result_fields(res).items()
+        }
         p = [row.pop(f"p_{m}") for m in range(res.n_max + 1)] if res.p_opt is not None else None
         rows.append({**row, "p": p})
     body = {"provenance": _provenance(config.canonical()), "results": rows}
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(body, handle, indent=1, allow_nan=True)
+        json.dump(body, handle, indent=1, allow_nan=False)
         handle.write("\n")
 
 

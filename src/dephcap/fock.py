@@ -6,7 +6,9 @@ Besides that closed form, this module carries every equivalent
 representation used for cross-validation: a truncated Kraus sum, a
 fourth-order integration of the dephasing master equation, the explicit
 system-environment dilation with coherent environment states, and a
-Gauss-Hermite phase-randomization integral.
+Gauss-Hermite phase-randomization integral. The Kraus sum and the
+dilation read one environment table, environment_amplitudes: the Kraus
+operators are its rows, the coherent states its columns.
 """
 
 from __future__ import annotations
@@ -53,8 +55,9 @@ class DephasingParams:
 class FockDensityMatrix:
     """Density matrix on a Fock space truncated to dimension dim = N+1.
 
-    Construction validates Hermiticity (1e-12), unit trace (1e-12) and
-    positivity (eigenvalues >= -1e-10); entries are frozen afterwards.
+    Construction validates finiteness, Hermiticity (1e-12), unit trace
+    (1e-12) and positivity (eigenvalues >= -1e-10); entries are frozen
+    afterwards.
     """
 
     entries: np.ndarray
@@ -63,6 +66,8 @@ class FockDensityMatrix:
         m = np.array(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise ValueError(f"entries must be a nonempty square matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("entries must be finite")
         herm = np.abs(m - m.conj().T).max()
         if herm > HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian: max deviation {herm:.3e}")
@@ -85,44 +90,6 @@ class FockDensityMatrix:
 
     def diagonal(self) -> np.ndarray:
         return self.entries.diagonal().real.copy()
-
-
-@dataclass(frozen=True)
-class CoherentVector:
-    """Truncated Fock expansion of a coherent state |alpha>.
-
-    entries[k] = e^{-|alpha|^2/2} alpha^k / sqrt(k!) for k < dim; the
-    missing tail mass 1 - sum |entries[k]|^2 is the truncation residual.
-    """
-
-    amplitude: complex
-    entries: np.ndarray
-
-    @classmethod
-    def build(cls, amplitude: complex, dim: int) -> "CoherentVector":
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        a = complex(amplitude)
-        k = np.arange(dim)
-        if a == 0:
-            v = np.zeros(dim, dtype=complex)
-            v[0] = 1.0
-        else:
-            log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, dim)))))
-            log_mag = -abs(a) ** 2 / 2.0 + k * math.log(abs(a)) - 0.5 * log_fact
-            v = np.exp(log_mag) * np.exp(1j * k * np.angle(a))
-        v.setflags(write=False)
-        obj = cls.__new__(cls)
-        object.__setattr__(obj, "amplitude", a)
-        object.__setattr__(obj, "entries", v)
-        return obj
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def residual(self) -> float:
-        return max(1.0 - float(np.vdot(self.entries, self.entries).real), 0.0)
 
 
 @dataclass(frozen=True)
@@ -225,68 +192,47 @@ def apply_dephasing(rho: FockDensityMatrix, params: DephasingParams) -> FockDens
     return FockDensityMatrix(factors * rho.entries)
 
 
-def kraus_operators(params: DephasingParams, dim: int, j_max: int) -> np.ndarray:
-    """Diagonals of the Kraus operators K_0 .. K_{j_max}, shape (j_max+1, dim).
+def environment_amplitudes(params: DephasingParams, n_max: int) -> np.ndarray:
+    """The (K, N+1) environment table <k|-i sqrt(gamma) m>, k < K, m = 0..N.
 
-    K_j = e^{-gamma (a^dag a)^2 / 2} (-i sqrt(gamma) a^dag a)^j / sqrt(j!),
-    diagonal in the Fock basis; magnitudes are assembled in log space so
-    large j and gamma n^2 do not overflow.
+    Column m is the coherent environment state the dilation attaches to
+    Fock level m. Row k is the diagonal of the Kraus operator
+    K_k = e^{-gamma (a^dag a)^2 / 2} (-i sqrt(gamma) a^dag a)^k / sqrt(k!).
+    Magnitudes are assembled in log space so large k and gamma m^2 do not
+    overflow. A column's missing mass 1 - sum_k |<k|.>|^2 is the tail of a
+    Poisson(gamma m^2) beyond K; K starts at lambda + 10 sqrt(lambda + 1)
+    + 11 with lambda = gamma N^2 and grows until every column's defect
+    |1 - sum_k |<k|.>|^2| is at most DEFAULT_RESIDUAL_BOUND, so the Kraus
+    sum is trace preserving and the dilation isometric to that accuracy.
     """
-    if j_max < 0:
-        raise ValueError("j_max must be >= 0")
-    n = np.arange(dim, dtype=float)
-    j = np.arange(j_max + 1, dtype=float)
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, j_max + 1)))))
-    sqrt_g_n = np.sqrt(params.gamma) * n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_amp = np.where(sqrt_g_n > 0.0, np.log(sqrt_g_n), -np.inf)
-        log_mag = -params.gamma * n[None, :] ** 2 / 2.0 + j[:, None] * log_amp[None, :] \
-            - 0.5 * log_fact[:, None]
-    # the j = 0 row hits 0 * (-inf) wherever the amplitude vanishes; K_0 is
-    # e^{-gamma n^2 / 2} there
-    log_mag[0, :] = -params.gamma * n ** 2 / 2.0
-    phases = (-1j) ** np.arange(j_max + 1)
-    return np.exp(log_mag) * phases[:, None]
-
-
-def kraus_completeness_residual(params: DephasingParams, dim: int, j_max: int) -> float:
-    """max_n |1 - sum_{j<=j_max} e^{-gamma n^2} (gamma n^2)^j / j!|.
-
-    The inner sum is the head of a Poisson(gamma n^2) distribution, so the
-    residual is that Poisson's upper-tail mass beyond j_max.
-    """
-    worst = 0.0
-    j = np.arange(j_max + 1, dtype=float)
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, j_max + 1)))))
-    for n in range(dim):
-        lam = params.gamma * float(n) ** 2
-        if lam == 0.0:
-            head = 1.0
-        else:
-            head = float(np.exp(j * math.log(lam) - lam - log_fact).sum())
-        worst = max(worst, abs(1.0 - head))
-    return worst
-
-
-def adaptive_j_max(params: DephasingParams, dim: int, tol: float = DEFAULT_RESIDUAL_BOUND) -> int:
-    """Smallest tried j_max whose completeness residual is below tol."""
-    lam = params.gamma * (dim - 1) ** 2
-    j = int(math.ceil(lam + 10.0 * math.sqrt(lam + 1.0) + 10.0))
-    while kraus_completeness_residual(params, dim, j) > tol:
-        j = 2 * j + 10
-        if j > 1_000_000:
-            raise TruncationError(f"no j_max below 1e6 reaches residual {tol:.1e}")
-    return j
+    lam = params.gamma * n_max ** 2
+    j_max = int(math.ceil(lam + 10.0 * math.sqrt(lam + 1.0) + 10.0))
+    m = np.arange(n_max + 1, dtype=float)
+    sqrt_g_m = np.sqrt(params.gamma) * m
+    while True:
+        k = np.arange(j_max + 1, dtype=float)
+        log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, j_max + 1)))))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_amp = np.where(sqrt_g_m > 0.0, np.log(sqrt_g_m), -np.inf)
+            log_mag = -params.gamma * m[None, :] ** 2 / 2.0 + k[:, None] * log_amp[None, :] \
+                - 0.5 * log_fact[:, None]
+        # the k = 0 row hits 0 * (-inf) wherever the amplitude vanishes; K_0 is
+        # e^{-gamma m^2 / 2} there
+        log_mag[0, :] = -params.gamma * m ** 2 / 2.0
+        table = np.exp(log_mag) * ((-1j) ** np.arange(j_max + 1))[:, None]
+        defect = np.abs(1.0 - (np.abs(table) ** 2).sum(axis=0))
+        if defect.max() <= DEFAULT_RESIDUAL_BOUND:
+            return table
+        j_max = 2 * j_max + 10
+        if j_max > 1_000_000:
+            raise TruncationError(
+                f"no table below 1e6 rows reaches residual {DEFAULT_RESIDUAL_BOUND:.1e}"
+            )
 
 
 def kraus_apply(rho: FockDensityMatrix, params: DephasingParams) -> FockDensityMatrix:
-    """Truncated Kraus sum sum_{j<=j_max} K_j rho K_j^dag.
-
-    j_max comes from adaptive_j_max, so the completeness residual is below
-    DEFAULT_RESIDUAL_BOUND and the truncated sum is trace preserving to
-    that accuracy.
-    """
-    k = kraus_operators(params, rho.dim, adaptive_j_max(params, rho.dim))
+    """Truncated Kraus sum sum_k K_k rho K_k^dag over the rows of environment_amplitudes."""
+    k = environment_amplitudes(params, rho.n_max)
     return FockDensityMatrix(np.einsum("ja,ab,jb->ab", k, rho.entries, k.conj()))
 
 
@@ -349,92 +295,34 @@ def phase_rotate(rho: FockDensityMatrix, theta: float) -> FockDensityMatrix:
 # ---------------------------------------------------------------------------
 # dilation and complementary channel
 
-def default_env_dim(params: DephasingParams, n_max: int) -> int:
-    """Environment truncation so each coherent tail mass stays below ~1e-12.
+def complementary_output(p, params: DephasingParams) -> FockDensityMatrix:
+    """Environment output sum_m p_m |-i sqrt(gamma) m><-i sqrt(gamma) m|.
 
-    The photon number of |sqrt(gamma) m> is Poisson(gamma m^2); its mass
-    concentrates around the mean, so mean + 10 sigma + 20 margins suffice.
+    The columns of environment_amplitudes; up to the unitary e^{-i pi a^dag a / 2}
+    this is the mixture of |sqrt(gamma) m>, with the same spectrum.
     """
-    lam = params.gamma * n_max ** 2
-    return int(math.ceil(lam + 10.0 * math.sqrt(max(lam, 1.0)) + 20.0))
-
-
-def _weights_array(p) -> np.ndarray:
-    return np.asarray(getattr(p, "p", p), dtype=float)
-
-
-def _coherent_family(
-    params: DephasingParams,
-    n_max: int,
-    env_dim: int,
-    residual_bound: float,
-    rotated: bool,
-) -> np.ndarray:
-    """Columns |alpha_m> for m = 0..n_max; alpha_m = sqrt(gamma) m, times -i when rotated."""
-    scale = -1j * math.sqrt(params.gamma) if rotated else math.sqrt(params.gamma)
-    cols = []
-    worst = (0.0, 0)
-    for m in range(n_max + 1):
-        cv = CoherentVector.build(scale * m, env_dim)
-        r = cv.residual()
-        if r > worst[0]:
-            worst = (r, m)
-        cols.append(cv.entries)
-    if worst[0] > residual_bound:
-        raise TruncationError(
-            f"env_dim={env_dim} too small: coherent state m={worst[1]} has "
-            f"truncation residual {worst[0]:.3e} > {residual_bound:.3e}"
-        )
-    return np.stack(cols, axis=1)
-
-
-def complementary_output(
-    p,
-    params: DephasingParams,
-    env_dim: int | None = None,
-    residual_bound: float = DEFAULT_RESIDUAL_BOUND,
-) -> FockDensityMatrix:
-    """Environment output sum_m p_m |sqrt(gamma) m><sqrt(gamma) m|.
-
-    The global phase rotation of the exact dilation is dropped; it is a
-    unitary conjugation and leaves every spectral quantity unchanged.
-    """
-    w = _weights_array(p)
-    n_max = w.size - 1
-    if env_dim is None:
-        env_dim = default_env_dim(params, n_max)
-    c = _coherent_family(params, n_max, env_dim, residual_bound, rotated=False)
+    w = np.asarray(getattr(p, "p", p), dtype=float)
+    c = environment_amplitudes(params, w.size - 1)
     omega = (c * w[None, :]) @ c.conj().T
     omega = 0.5 * (omega + omega.conj().T)
     return FockDensityMatrix(omega)
 
 
-def build_dilated_state(
-    rho: FockDensityMatrix,
-    params: DephasingParams,
-    env_dim: int | None = None,
-    residual_bound: float = DEFAULT_RESIDUAL_BOUND,
-) -> JointState:
+def build_dilated_state(rho: FockDensityMatrix, params: DephasingParams) -> JointState:
     """U (rho x |0><0|) U^dag via the coherent closed form.
 
-    Joint matrix sum_{m,n} rho[m,n] |m><n| x |-i sqrt(gamma) m><-i sqrt(gamma) n|.
+    Joint matrix sum_{m,n} rho[m,n] |m><n| x |-i sqrt(gamma) m><-i sqrt(gamma) n|,
+    with the environment states read from the columns of environment_amplitudes.
     """
-    if env_dim is None:
-        env_dim = default_env_dim(params, rho.n_max)
-    c = _coherent_family(params, rho.n_max, env_dim, residual_bound, rotated=True)
+    c = environment_amplitudes(params, rho.n_max)
     joint = np.einsum("mn,km,ln->mknl", rho.entries, c, c.conj())
-    d = rho.dim * env_dim
-    return JointState(rho.dim, env_dim, joint.reshape(d, d))
+    d = rho.dim * c.shape[0]
+    return JointState(rho.dim, c.shape[0], joint.reshape(d, d))
 
 
-def dilation_oracle(
-    rho: FockDensityMatrix,
-    params: DephasingParams,
-    env_dim: int | None = None,
-    residual_bound: float = DEFAULT_RESIDUAL_BOUND,
-):
+def dilation_oracle(rho: FockDensityMatrix, params: DephasingParams):
     """Both partial traces of the dilated state: (system output, environment output)."""
-    joint = build_dilated_state(rho, params, env_dim, residual_bound)
+    joint = build_dilated_state(rho, params)
     sys_out = FockDensityMatrix(joint.trace_out_environment())
     env_out = FockDensityMatrix(joint.trace_out_system())
     return sys_out, env_out
@@ -462,15 +350,11 @@ def phase_average_oracle(
     return FockDensityMatrix(factors * rho.entries)
 
 
-def coherent_information(
-    rho: FockDensityMatrix,
-    params: DephasingParams,
-    env_dim: int | None = None,
-) -> float:
+def coherent_information(rho: FockDensityMatrix, params: DephasingParams) -> float:
     """J(rho) = S(channel output) - S(complementary output), in bits.
 
     Both entropies come from the partial traces of the explicit dilation,
     independent of the replica path.
     """
-    sys_out, env_out = dilation_oracle(rho, params, env_dim)
+    sys_out, env_out = dilation_oracle(rho, params)
     return vn_entropy_bits(sys_out.entries) - vn_entropy_bits(env_out.entries)

@@ -29,7 +29,7 @@ _LN2 = math.log(2.0)
 GAP_RTOL = 1e-5
 MAX_NEWTON_STEPS = 100
 FD_STEP = 1e-6
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 _GRADIENT_MODES = ("analytic", "finite_difference")
 
 
@@ -38,8 +38,9 @@ class CapacityResult:
     """One optimized point: truncation N, rate gamma and the value in bits.
 
     gap is the duality gap at p_opt in bits, so the true truncated
-    capacity lies in [q_bits, q_bits + gap]; converged means gap is at
-    most GAP_RTOL * q_bits.
+    capacity lies in [q_bits, q_bits + gap] up to the rounding of J;
+    converged means gap is at most GAP_RTOL * q_bits and that rounding,
+    relative 50 eps e^{gamma/2}, is at most GAP_RTOL (gamma <= 41.24).
     """
 
     gamma: float
@@ -317,10 +318,13 @@ def maximize_coherent_information(n_max: int, params: DephasingParams) -> Capaci
     Concavity makes every local maximizer globally optimal, so one Newton
     ascent from the symmetric discrete Gaussian of width default_sigma(N)
     is run; iterations counts its steps. converged means the duality gap is
-    at most GAP_RTOL of J. From gamma of about 30 on (later for small N),
-    the Hessian's tangent part, of order e^-gamma, falls below its rounding
-    error; the ascent then stops at the first direction that does not
-    ascend and the result comes back unconverged.
+    at most GAP_RTOL of J and J is accurate to GAP_RTOL. From gamma of
+    about 30 on (later for small N), the Hessian's tangent part, of order
+    e^-gamma, falls below its rounding error; the ascent then stops at the
+    first direction that does not ascend and the result comes back
+    unconverged. eigh resolves the e^{-gamma/2} couplings of M to about
+    eps, so J's relative accuracy is about 50 eps e^{gamma/2}; past gamma
+    41.24 that exceeds GAP_RTOL and no point is certified, whatever its gap.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -333,7 +337,7 @@ def maximize_coherent_information(n_max: int, params: DephasingParams) -> Capaci
         q_bits=value / _LN2,
         p_opt=InputDistribution(w),
         iterations=iterations,
-        converged=gap <= GAP_RTOL * value,
+        converged=gap <= GAP_RTOL * value and 50.0 * _EPS <= GAP_RTOL * params.epsilon,
         gap=gap / _LN2,
         wall_time=time.perf_counter() - t0,
     )

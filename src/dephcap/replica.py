@@ -4,10 +4,10 @@ The environment output for a diagonal input with weights p is the
 coherent-state mixture Omega = sum_m p_m |sqrt(gamma) m><sqrt(gamma) m|.
 Its nonzero spectrum equals that of the (N+1)x(N+1) matrix
 A[i, j] = e^{-gamma (i-j)^2 / 2} p_j, so the entropy never requires the
-large environment space. A brute-force construction of Omega on a
-verified truncation serves as the independent oracle. The coherent
-information J itself is evaluated in optimize; the textbook H(p) - S(A)
-here is kept only as an independent reference for it.
+large environment space. A brute-force construction of Omega from the
+environment table fock.environment_amplitudes serves as the independent
+oracle. The coherent information J itself is evaluated in optimize; the
+textbook H(p) - S(A) here is kept only as an independent reference for it.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ class InputDistribution:
         w = np.array(self.p, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("p must be a nonempty 1-D vector")
+        if not np.isfinite(w).all():
+            raise ValueError("p must be finite")
         if w.min() < 0.0:
             raise ValueError(f"p must be nonnegative, min entry {w.min():.3e}")
         if abs(w.sum() - 1.0) > SUM_TOL:
@@ -97,20 +99,15 @@ def entropy_replica(p: InputDistribution, params: DephasingParams) -> float:
     return max(fock.shannon_bits(_replica_spectrum(p.p, params.gamma)), 0.0)
 
 
-def entropy_bruteforce_oracle(
-    p: InputDistribution,
-    params: DephasingParams,
-    env_dim: int | None = None,
-    residual_bound: float = fock.DEFAULT_RESIDUAL_BOUND,
-) -> float:
-    """Entropy of Omega built explicitly from truncated coherent vectors.
+def entropy_bruteforce_oracle(p: InputDistribution, params: DephasingParams) -> float:
+    """Entropy of Omega built explicitly on the truncated environment.
 
-    Refuses to run on an unverified truncation: every |sqrt(gamma) m| up
-    to m = N must pass the residual check, else TruncationError.
+    Omega is fock.complementary_output, the p-weighted mixture of the
+    columns of fock.environment_amplitudes, whose every coherent state
+    misses at most fock.DEFAULT_RESIDUAL_BOUND of its mass; it is
+    diagonalized at full environment size, independent of gram_matrix.
     """
-    if env_dim is None:
-        env_dim = fock.default_env_dim(params, p.n_max)
-    omega = fock.complementary_output(p, params, env_dim, residual_bound)
+    omega = fock.complementary_output(p, params)
     return fock.vn_entropy_bits(omega.entries)
 
 

@@ -120,6 +120,13 @@ class TestCapacityCommand:
         assert rec["converged"] == "true"
         assert 0.0 <= float(rec["gap"]) <= 1e-5 * float(rec["q_bits"])
 
+    def test_gamma_past_kernel_accuracy_exits_two(self, capsys):
+        # at gamma 73, J's rounding (50 eps e^{gamma/2}) is far above 1e-5 of it
+        rc = main(["capacity", "--n", "1", "--gamma", "73"])
+        rec = parse_record(capsys.readouterr().out)
+        assert rc == 2
+        assert rec["converged"] == "false"
+
     def test_certified_record_reports_gap(self, capsys):
         rc = main(["capacity", "--n", "8", "--gamma", "1"])
         rec = parse_record(capsys.readouterr().out)
@@ -326,6 +333,21 @@ class TestSweepCommand:
             rows = list(csv.reader(handle))[1:]
         failed = [r for r in rows if r[0] == "1"]
         assert failed[0][2] == "nan" and failed[0][3] == "false" and failed[0][6] == ""
+        # JSON has no nan: the failed point's floats are null, parsed strictly
+        out = tmp_path / "holes.json"
+        with pytest.warns(RuntimeWarning, match="failed"):
+            rc = main(["sweep", "--gammas", "0.5,1.0", "--ns", "1", "--output", str(out),
+                       "--format", "json"])
+        assert rc == 0
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        results = json.loads(out.read_text(), parse_constant=reject)["results"]
+        failed = [r for r in results if r["gamma"] == 1.0]
+        assert failed == [{"gamma": 1.0, "N": 1, "q_bits": None, "converged": False,
+                           "iterations": 0, "gap": None, "mean_energy": None, "p": None}]
+        assert results[0]["q_bits"] > 0.0 and len(results[0]["p"]) == 2
 
 
 class TestConfigLoader:
@@ -407,6 +429,9 @@ class TestValidateCommand:
             (fock, "kraus_apply",
              lambda real: lambda rho, params: real(rho, DephasingParams(1.001 * params.gamma)),
              "representation_equivalence"),
+            (fock, "environment_amplitudes",
+             lambda real: lambda params, n_max: real(DephasingParams(1.001 * params.gamma), n_max),
+             "representation_equivalence"),
             (fock, "apply_dephasing",
              lambda real: lambda rho, params: real(rho, DephasingParams(params.gamma ** 1.1)),
              "semigroup"),
@@ -419,8 +444,8 @@ class TestValidateCommand:
              + np.abs(np.triu(rho.entries, 1)).sum(),
              "proposition1_dominance"),
         ],
-        ids=["skewed-gram-kernel", "skewed-kraus", "rates-do-not-add", "mixes-in-superposition",
-             "rewards-coherence"],
+        ids=["skewed-gram-kernel", "skewed-kraus", "skewed-environment-table", "rates-do-not-add",
+             "mixes-in-superposition", "rewards-coherence"],
     )
     def test_corrupted_code_fails_its_suite(self, capsys, monkeypatch, module, name, fault, suite):
         # negative controls: the acceptance tests trust these suites, so each

@@ -7,19 +7,17 @@ from hypothesis import strategies as st
 
 from dephcap import fock
 from dephcap.fock import (
-    CoherentVector,
     DephasingParams,
     FockDensityMatrix,
     TruncationError,
     apply_dephasing,
     complementary_output,
-    default_env_dim,
     diagonal_state,
     dilation_oracle,
+    environment_amplitudes,
     evolve_master_equation,
     fock_state,
     kraus_apply,
-    kraus_completeness_residual,
     master_equation_steps,
     phase_average_oracle,
     phase_rotate,
@@ -74,31 +72,29 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="positive"):
             FockDensityMatrix(m)
 
+    def test_density_matrix_rejects_non_finite(self):
+        # every comparison with nan is false, so the other checks pass it
+        with pytest.raises(ValueError, match="finite"):
+            FockDensityMatrix(np.array([[math.nan, 0.0], [0.0, 1.0]]))
+
     def test_entries_frozen(self):
         rho = fock_state(0, 3)
         with pytest.raises(ValueError):
             rho.entries[0, 0] = 2.0
 
     def test_coherent_vector_matches_definition(self):
-        alpha = 0.7 - 0.3j
-        cv = CoherentVector.build(alpha, 12)
-        direct = np.array(
-            [
-                math.exp(-abs(alpha) ** 2 / 2.0) * alpha ** k / math.sqrt(math.factorial(k))
-                for k in range(12)
-            ]
-        )
-        assert np.abs(cv.entries - direct).max() < 1e-14
-
-    def test_coherent_vector_residual_is_poisson_tail(self):
-        # tail of Poisson(|alpha|^2) beyond dim-1, summed independently
-        alpha = 1.5
-        dim = 6
-        lam = alpha ** 2
-        tail = sum(
-            math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1)) for k in range(dim, 200)
-        )
-        assert CoherentVector.build(alpha, dim).residual() == pytest.approx(tail, rel=1e-10)
+        # column m of the environment table is |-i sqrt(gamma) m>
+        gamma = 0.7
+        table = environment_amplitudes(DephasingParams(gamma), 3)
+        for m in range(4):
+            alpha = -1j * math.sqrt(gamma) * m
+            direct = np.array(
+                [
+                    math.exp(-gamma * m ** 2 / 2.0) * alpha ** k / math.sqrt(math.factorial(k))
+                    for k in range(table.shape[0])
+                ]
+            )
+            assert np.abs(table[:, m] - direct).max() < 1e-14, m
 
 
 class TestApplyDephasing:
@@ -129,46 +125,37 @@ class TestApplyDephasing:
 
 class TestKraus:
     def test_gamma_zero_operators(self):
-        k = fock.kraus_operators(DephasingParams(0.0), 4, 5)
-        assert np.abs(k[0] - 1.0).max() == 0.0
-        assert np.abs(k[1:]).max() == 0.0
+        table = environment_amplitudes(DephasingParams(0.0), 3)
+        assert np.array_equal(table[0], np.ones(4))
+        assert np.abs(table[1:]).max() == 0.0
 
     def test_adaptive_matches_closed_form(self):
         rng = np.random.default_rng(3)
         rho = random_density_matrix(4, rng)
-        params = DephasingParams(0.7)
-        out = kraus_apply(rho, params)
-        assert kraus_completeness_residual(params, 4, fock.adaptive_j_max(params, 4)) < 1e-12
+        out = kraus_apply(rho, DephasingParams(0.7))
         assert np.abs(out.entries - closed_form(rho, 0.7)).max() < 1e-12
 
-    def test_completeness_residual_is_poisson_tail(self):
-        # independent oracle: direct upper-tail sum of Poisson(gamma n^2)
-        params = DephasingParams(0.9)
-        dim, j_max = 4, 7
-        tails = []
-        for n in range(dim):
-            lam = params.gamma * n ** 2
-            tails.append(
-                sum(
-                    math.exp(-lam + j * math.log(lam) - math.lgamma(j + 1)) if lam > 0 else 0.0
-                    for j in range(j_max + 1, 400)
-                )
+    @pytest.mark.parametrize("gamma", [0.25, 1.0, 2.0])
+    @pytest.mark.parametrize("n_max", [1, 3, 5])
+    def test_truncation_tail_is_poisson_tail_below_bound(self, n_max, gamma):
+        # independent oracle: the upper tail of Poisson(gamma m^2) beyond the
+        # table's K rows is the mass column m misses
+        rows = environment_amplitudes(DephasingParams(gamma), n_max).shape[0]
+        for m in range(n_max + 1):
+            lam = gamma * m ** 2
+            tail = sum(
+                math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1)) if lam > 0 else 0.0
+                for k in range(rows, rows + 400)
             )
-        assert kraus_completeness_residual(params, dim, j_max) == pytest.approx(
-            max(tails), rel=1e-8
-        )
+            assert tail <= 1e-12, m
 
-    def test_residual_decreases_toward_zero(self):
-        params = DephasingParams(0.9)
-        residuals = [kraus_completeness_residual(params, 4, j) for j in (2, 8, 48)]
-        assert residuals[0] > residuals[1] > residuals[2]
-        assert residuals[2] < 1e-12
-
-    def test_explicit_truncation_too_small_raises(self):
-        # the residual cannot fall below rounding, so a 1e-20 bound is never met:
-        # the truncation search must refuse rather than return a short Kraus sum
+    def test_explicit_truncation_too_small_raises(self, monkeypatch):
+        # at gamma 2 the rounded completeness sum of column 1 stays 2e-16 from 1
+        # however long the table, so a 1e-20 bound is never met: the table must
+        # refuse rather than return a short Kraus sum
+        monkeypatch.setattr(fock, "DEFAULT_RESIDUAL_BOUND", 1e-20)
         with pytest.raises(TruncationError, match="residual"):
-            fock.adaptive_j_max(DephasingParams(2.0), 4, tol=1e-20)
+            environment_amplitudes(DephasingParams(2.0), 1)
 
 
 class TestMasterEquation:
@@ -269,10 +256,6 @@ class TestComplementaryOutput:
         expected = np.sort([(1 - math.exp(-0.5)) / 2, (1 + math.exp(-0.5)) / 2])
         assert np.abs(lam - expected).max() < 1e-12
 
-    def test_env_dim_too_small_raises(self):
-        with pytest.raises(TruncationError, match="residual"):
-            complementary_output(np.array([0.5, 0.5]), DephasingParams(2.0), env_dim=2)
-
 
 class TestDilationOracle:
     def test_system_trace_matches_closed_form(self):
@@ -287,7 +270,7 @@ class TestDilationOracle:
         p = rng.dirichlet(np.ones(4))
         params = DephasingParams(0.8)
         _, env_out = dilation_oracle(diagonal_state(p), params)
-        comp = complementary_output(p, params, env_dim=env_out.dim)
+        comp = complementary_output(p, params)
         a = np.sort(np.linalg.eigvalsh(env_out.entries))
         b = np.sort(np.linalg.eigvalsh(comp.entries))
         assert np.abs(a - b).max() < 1e-10
@@ -355,14 +338,6 @@ class TestRepresentationEquivalence:
             for name, mat in paths.items():
                 assert np.abs(mat - reference).max() < 5e-9, name
                 assert_valid_state(mat)
-
-    def test_default_env_dim_passes_residual_check(self):
-        for gamma in (0.25, 1.0, 2.0):
-            params = DephasingParams(gamma)
-            for n_max in (1, 3, 5):
-                env = default_env_dim(params, n_max)
-                cv = CoherentVector.build(math.sqrt(gamma) * n_max, env)
-                assert cv.residual() < 1e-12
 
 
 class TestProposition1:

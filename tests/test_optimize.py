@@ -278,6 +278,15 @@ class TestMaximizeCoherentInformation:
             tol = 1e-9 if gamma <= 30.0 else 1e-6
             assert res.q_bits == pytest.approx(bound, rel=tol, abs=0.0), gamma
 
+    @pytest.mark.parametrize("gamma, certified", [(40.0, True), (45.0, False), (55.0, False),
+                                                  (73.0, False)])
+    def test_no_certificate_past_kernel_accuracy(self, gamma, certified):
+        # the gap closes at N = 1 for every gamma, but past gamma 41.24 the
+        # kernel's accuracy bound 50 eps e^{gamma/2} exceeds GAP_RTOL
+        res = maximize_coherent_information(1, DephasingParams(gamma))
+        assert res.gap <= 1e-5 * res.q_bits
+        assert res.converged is certified
+
     @pytest.mark.parametrize("gamma", [32.0, 40.0])
     def test_large_gamma_values_lie_between_anchors(self, gamma):
         lower = two_point_lower_bound(DephasingParams(gamma), 1).value_bits

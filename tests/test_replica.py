@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dephcap.fock import CoherentVector, DephasingParams, TruncationError, default_env_dim
+from dephcap.fock import DephasingParams, environment_amplitudes
 from dephcap.optimize import coherent_information_diagonal, two_point_lower_bound
 from dephcap.replica import (
     InputDistribution,
@@ -39,6 +39,11 @@ class TestInputDistribution:
         with pytest.raises(ValueError, match="nonnegative"):
             InputDistribution(np.array([1.1, -0.1]))
 
+    def test_rejects_non_finite(self):
+        # nan fails every comparison, so the sign and sum checks pass it
+        with pytest.raises(ValueError, match="finite"):
+            InputDistribution(np.array([math.nan, 1.0]))
+
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="sum to 1"):
             InputDistribution(np.array([0.4, 0.4]))
@@ -62,14 +67,12 @@ class TestGramOverlap:
         assert g[0, 1] == g[1, 0]
 
     def test_value_and_truncated_inner_product(self):
-        # e^{-2} against the explicit overlap of truncated coherent vectors
+        # e^{-2} against the overlap <0|-2i> of the environment table's columns
         params = DephasingParams(1.0)
         value = gram_matrix(params, [2, 0])[0, 1]
         assert value == pytest.approx(math.exp(-2.0), abs=1e-15)
-        dim = default_env_dim(params, 2)
-        a = CoherentVector.build(math.sqrt(1.0) * 2, dim).entries
-        b = CoherentVector.build(0.0, dim).entries
-        assert np.vdot(b, a).real == pytest.approx(value, abs=1e-12)
+        table = environment_amplitudes(params, 2)
+        assert np.vdot(table[:, 0], table[:, 2]) == pytest.approx(value, abs=1e-12)
 
 
 class TestReplicaMatrix:
@@ -176,11 +179,6 @@ class TestBruteForceOracle:
         assert entropy_bruteforce_oracle(p, DephasingParams(2.0)) == pytest.approx(
             0.0, abs=1e-12
         )
-
-    def test_refuses_unverified_truncation(self):
-        p = InputDistribution(np.array([0.5, 0.5]))
-        with pytest.raises(TruncationError):
-            entropy_bruteforce_oracle(p, DephasingParams(3.0), env_dim=2)
 
     def test_spectrum_equivalence_padded(self):
         # eigenvalues of A equal eigenvalues of Omega padded with zeros
