@@ -166,7 +166,11 @@ def write_sweep_csv(results: list[CapacityResult], path: str) -> None:
 
 
 def write_sweep_json(results: list[CapacityResult], path: str, config: SweepConfig) -> None:
-    """Strict JSON: the nan q_bits and gap of a failed point are written as null."""
+    """Strict JSON: the nan q_bits and gap of a failed point are written as null.
+
+    Each row ends with error, the text of the exception that failed the
+    point, or null for a solved point.
+    """
     rows = []
     for res in results:
         row = {
@@ -174,7 +178,7 @@ def write_sweep_json(results: list[CapacityResult], path: str, config: SweepConf
             for key, value in _result_fields(res).items()
         }
         p = [row.pop(f"p_{m}") for m in range(res.n_max + 1)] if res.p_opt is not None else None
-        rows.append({**row, "p": p})
+        rows.append({**row, "p": p, "error": res.error})
     body = {"provenance": _provenance(config.canonical()), "results": rows}
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(body, handle, indent=1, allow_nan=False)

@@ -41,6 +41,8 @@ class CapacityResult:
     capacity lies in [q_bits, q_bits + gap] up to the rounding of J;
     converged means gap is at most GAP_RTOL * q_bits and that rounding,
     relative 50 eps e^{gamma/2}, is at most GAP_RTOL (gamma <= 41.24).
+    error is the text of the exception that failed a sweep point (whose
+    q_bits and gap are then nan), and None for a solved point.
     """
 
     gamma: float
@@ -51,6 +53,7 @@ class CapacityResult:
     converged: bool
     gap: float
     wall_time: float | None = None
+    error: str | None = None
 
     def __post_init__(self):
         if math.isnan(self.q_bits):
@@ -179,24 +182,54 @@ def _log_divided_difference(x, y):
     return out
 
 
+def _mirror(x):
+    """x at the levels N - s for s = 0..h-1, h = ceil((N+1)/2), along the last axis.
+
+    A centre level (N even) is its own mirror, so its slot holds 0, and
+    x[..., :h] + _mirror(x) is the fold P^T x, where P maps the half
+    coordinates s onto the levels s and N - s.
+    """
+    size = x.shape[-1]
+    out = np.zeros(x.shape[:-1] + ((size + 1) // 2,))
+    out[..., : size // 2] = x[..., ::-1][..., : size // 2]
+    return out
+
+
+def _fold(x):
+    """P^T x: each level's value added to its mirror level's, on h slots."""
+    return x[..., : (x.shape[-1] + 1) // 2] + _mirror(x)
+
+
+# entries of one block of pair products in _hessian (256 KB)
+_HESSIAN_BLOCK = 2 ** 15
+
+
 def _hessian(weights, a, v):
-    """d^2 J / dp_m dp_n in nats from the eigenpairs (a, V) of M.
+    """P^T H P in nats: d^2 J / dp^2 on mirror-symmetric directions d = P s.
 
     C_km = sqrt(a_k / p_m) V_mk is the overlap of Omega's k-th eigenvector
-    with coherent state m, and the Hessian is
-    -diag(1/p) + sum_kl L(a_k, a_l) (C_k o C_l)(C_k o C_l)^T
-    (Daleckii-Krein); zero eigenvalues have C_k = 0.
-    The summand is symmetric in (k, l), so each pair is taken once, and
-    rows k are accumulated one at a time to keep temporaries at (N+1)^2.
+    with coherent state m, and the full Hessian is
+    H = -diag(1/p) + sum_kl L(a_k, a_l) (C_k o C_l)(C_k o C_l)^T
+    (Daleckii-Krein); zero eigenvalues have C_k = 0. Folded, each pair
+    contributes z z^T with z = P^T (C_k o C_l) = lo_k o lo_l + hi_k o hi_l,
+    lo and hi the columns of C at the levels s and N - s. The summand is
+    symmetric in (k, l), so each pair k <= l is taken once, in blocks of
+    pairs whose products hold at most _HESSIAN_BLOCK entries.
     """
     c = np.sqrt(a)[:, None] * v.T / np.sqrt(weights)[None, :]
+    half = (a.size + 1) // 2
+    lo, hi = c[:, :half], _mirror(c)
     lam = _log_divided_difference(a[:, None], a[None, :])
     scale = np.sqrt(2.0 * lam)
     np.fill_diagonal(scale, np.sqrt(np.diag(lam)))
-    hess = -np.diag(1.0 / weights)
-    for k in range(a.size):
-        z = c[k] * c[k:]
-        z *= scale[k, k:, None]
+    hess = -np.diag(_fold(1.0 / weights))
+    ks, ls = np.triu_indices(a.size)
+    step = _HESSIAN_BLOCK // half
+    for i in range(0, ks.size, step):
+        k, l = ks[i : i + step], ls[i : i + step]
+        z = lo[k] * lo[l]
+        z += hi[k] * hi[l]
+        z *= scale[k, l][:, None]
         hess += z.T @ z
     return hess
 
@@ -246,10 +279,11 @@ def objective_gradient(
 def _newton_ascent(w: np.ndarray, gamma: float):
     """Damped Newton ascent on the simplex with the exact Hessian.
 
-    Returns (p, J, gap, iterations) in nats. Each step solves the bordered
-    system [H 1; 1^T 0] for the direction d with sum(d) = 0. J is invariant
-    under m -> N - m and the start is symmetric, so d is mirrored as
-    (d + d[::-1]) / 2, which removes the asymmetry rounding puts into it.
+    Returns (p, J, gap, iterations) in nats. J is invariant under
+    m -> N - m and the start is symmetric, so the Newton direction is
+    mirror-symmetric: each step solves the bordered system
+    [P^T H P  e; e^T  0], e = P^T 1, for the half coordinates s of the
+    direction d = P s with sum(d) = 0.
     The move is multiplicative, p o exp(t d / p) normalized, so weights stay
     positive and exact levels such as the uniform optimum at gamma = 0 are
     reached; t starts at min(1, 4 / max|d / p|), so no weight changes by
@@ -262,15 +296,16 @@ def _newton_ascent(w: np.ndarray, gamma: float):
     that still changes p increases J.
     """
     value, grad, a, v = _objective_and_gradient(w, gamma)
-    kkt = np.ones((w.size + 1, w.size + 1))
-    kkt[-1, -1] = 0.0
-    rhs = np.zeros(w.size + 1)
+    half = (w.size + 1) // 2
+    kkt = np.zeros((half + 1, half + 1))
+    kkt[-1, :-1] = kkt[:-1, -1] = _fold(np.ones(w.size))
+    rhs = np.zeros(half + 1)
     iterations = 0
     while grad.max() - w @ grad > GAP_RTOL * value and iterations < MAX_NEWTON_STEPS:
         kkt[:-1, :-1] = _hessian(w, a, v)
-        rhs[:-1] = -grad
-        d = np.linalg.solve(kkt, rhs)[:-1]
-        d = (d + d[::-1]) / 2.0
+        rhs[:-1] = -_fold(grad)
+        s = np.linalg.solve(kkt, rhs)[:-1]
+        d = np.concatenate([s, s[: w.size // 2][::-1]])
         if not grad @ d > 0.0:
             break
         rate = d / w
@@ -424,6 +459,7 @@ def _sweep_point(n_max: int, gamma: float) -> CapacityResult:
             converged=False,
             gap=math.nan,
             wall_time=time.perf_counter() - t0,
+            error=str(exc),
         )
 
 

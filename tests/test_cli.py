@@ -346,8 +346,10 @@ class TestSweepCommand:
         results = json.loads(out.read_text(), parse_constant=reject)["results"]
         failed = [r for r in results if r["gamma"] == 1.0]
         assert failed == [{"gamma": 1.0, "N": 1, "q_bits": None, "converged": False,
-                           "iterations": 0, "gap": None, "mean_energy": None, "p": None}]
+                           "iterations": 0, "gap": None, "mean_energy": None, "p": None,
+                           "error": "synthetic point failure"}]
         assert results[0]["q_bits"] > 0.0 and len(results[0]["p"]) == 2
+        assert results[0]["error"] is None
 
 
 class TestConfigLoader:

@@ -154,37 +154,54 @@ class TestObjectiveGradient:
             assert abs(g.sum()) < 1e-9
 
 
+def mirror_fold(size):
+    """P: the (N+1) x ceil((N+1)/2) 0/1 matrix mapping half coordinate s to levels s and N - s."""
+    fold = np.zeros((size, (size + 1) // 2))
+    for s in range(fold.shape[1]):
+        fold[s, s] = fold[size - 1 - s, s] = 1.0
+    return fold
+
+
 class TestObjectiveHessian:
     def test_matches_finite_difference_of_gradient(self):
         # like acceptance criterion 10, one level up: central differences of
-        # the analytic gradient on 50 interior points
+        # the analytic gradient on 50 interior points, folded onto
+        # mirror-symmetric directions as P^T FD P, with and without a centre level
         rng = np.random.default_rng(102)
         worst = 0.0
+        parities = set()
         for _ in range(50):
             n_max = int(rng.integers(1, 7))
             gamma = float(rng.uniform(0.3, 2.5))
             p = interior_distribution(rng, n_max + 1).p
             _, _, a, v = _objective_and_gradient(p, gamma)
             hess = _hessian(p, a, v)
-            fd = np.empty_like(hess)
+            fd = np.empty((p.size, p.size))
             for k in range(p.size):
                 step = np.zeros(p.size)
                 step[k] = 1e-6
                 hi = _objective_and_gradient(p + step, gamma)[1]
                 lo = _objective_and_gradient(p - step, gamma)[1]
                 fd[:, k] = (hi - lo) / 2e-6
+            fold = mirror_fold(p.size)
+            fd = fold.T @ fd @ fold
             worst = max(worst, float(np.linalg.norm(hess - fd) / np.linalg.norm(fd)))
+            parities.add(p.size % 2)
+        assert parities == {0, 1}
         assert worst < 1e-6
 
+    @pytest.mark.parametrize("n_max", [12, 13])
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 4.0, 16.0])
-    def test_symmetric_and_annihilates_p(self, gamma):
-        # J is homogeneous of degree 1 in the weights, so H p = 0; each
-        # component is -1 from -diag(1/p) plus terms that sum to 1
-        p = _ansatz_weights(12, 2.0)
+    def test_symmetric_and_annihilates_p(self, gamma, n_max):
+        # J is homogeneous of degree 1 in the weights, so H p = 0, and p is
+        # symmetric, p = P p[:h]; each component of P^T H P p[:h] is -2 (-1
+        # at a centre level) from -diag(P^T 1/p) plus terms that cancel it
+        p = _ansatz_weights(n_max, 2.0)
         _, _, a, v = _objective_and_gradient(p, gamma)
         hess = _hessian(p, a, v)
+        assert hess.shape == ((n_max + 2) // 2,) * 2
         assert np.array_equal(hess, hess.T)
-        assert np.abs(hess @ p).max() <= 1e-13
+        assert np.abs(hess @ p[: hess.shape[0]]).max() <= 1e-13
 
 
 class TestObjectiveAgainstHighPrecision:
@@ -249,6 +266,20 @@ class TestMaximizeCoherentInformation:
         p = res.p_opt.p
         assert np.abs(p - p[::-1]).max() <= 1e-9
         assert abs(res.mean_energy() - 12.0) <= 1e-9
+
+    @pytest.mark.parametrize("gamma", [1.0, 16.0])
+    @pytest.mark.parametrize("n_max", [1, 2, 7, 8, 31, 32])
+    def test_optimum_exactly_mirror_symmetric(self, n_max, gamma):
+        # the start is symmetric and every Newton direction is d = P s
+        p = maximize_coherent_information(n_max, DephasingParams(gamma)).p_opt.p
+        assert np.array_equal(p, p[::-1])
+
+    def test_certifies_every_n_at_gamma_27(self):
+        # over N 1..128 every point certifies at gamma 26 to 28; from 29 on
+        # the Hessian's tangent part is lost to rounding at some N
+        uncertified = [n for n in range(1, 129, 3)
+                       if not maximize_coherent_information(n, DephasingParams(27.0)).converged]
+        assert uncertified == []
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 8.0])
     @pytest.mark.parametrize("n_max", [16, 24, 32])
