@@ -267,14 +267,15 @@ def cmd_sweep(args) -> int:
         return 1
 
     try:
-        if args.gammas:
+        linspace = (args.gamma_start, args.gamma_stop, args.gamma_count)
+        if linspace != (None, None, None):
+            if args.gammas:
+                raise ValueError("--gammas excludes --gamma-start/--gamma-stop/--gamma-count")
+            if None in linspace:
+                raise ValueError("--gamma-start, --gamma-stop and --gamma-count go together")
+            fields["gamma_grid"] = list(np.linspace(*linspace))
+        elif args.gammas:
             fields["gamma_grid"] = _parse_list(args.gammas)
-        elif args.gamma_start is not None:
-            if args.gamma_stop is None or args.gamma_count is None:
-                raise ValueError("--gamma-start requires --gamma-stop and --gamma-count")
-            fields["gamma_grid"] = list(
-                np.linspace(args.gamma_start, args.gamma_stop, args.gamma_count)
-            )
         if args.ns:
             fields["n_grid"] = _parse_list(args.ns, int)
         if args.output:

@@ -4,11 +4,13 @@ The channel multiplies the Fock-basis matrix element rho[m, n] by
 exp(-gamma (m-n)^2 / 2): populations are untouched, coherences decay.
 Besides that closed form, this module carries every equivalent
 representation used for cross-validation: a truncated Kraus sum, a
-fourth-order integration of the dephasing master equation, the explicit
-system-environment dilation with coherent environment states, and a
+fourth-order integration of the dephasing master equation, the
+complementary channel onto coherent environment states, and a
 Gauss-Hermite phase-randomization integral. The Kraus sum and the
-dilation read one environment table, environment_amplitudes: the Kraus
-operators are its rows, the coherent states its columns.
+complementary channel read one environment table, environment_amplitudes:
+the Kraus operators are its rows, the coherent states of the dilation
+V|m> = |m> x |-i sqrt(gamma) m> its columns. Both partial traces of
+V rho V^dag are contractions of that table; the joint state is never built.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ _LN2 = math.log(2.0)
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
-JOINT_TOL = 1e-10
 DEFAULT_RESIDUAL_BOUND = 1e-12
 
 # Real-axis stability limit of the classical RK4 scheme.
@@ -90,40 +91,6 @@ class FockDensityMatrix:
 
     def diagonal(self) -> np.ndarray:
         return self.entries.diagonal().real.copy()
-
-
-@dataclass(frozen=True)
-class JointState:
-    """System-environment state on the tensor product, system-major order."""
-
-    sys_dim: int
-    env_dim: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.entries, dtype=complex)
-        d = self.sys_dim * self.env_dim
-        if m.shape != (d, d):
-            raise ValueError(f"expected shape {(d, d)}, got {m.shape}")
-        herm = np.abs(m - m.conj().T).max()
-        if herm > JOINT_TOL:
-            raise ValueError(f"joint state is not Hermitian: max deviation {herm:.3e}")
-        tr = m.trace()
-        if abs(tr - 1.0) > JOINT_TOL:
-            raise ValueError(f"joint trace must be 1 within {JOINT_TOL:.0e}, got {tr:.15g}")
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-
-    def _blocks(self) -> np.ndarray:
-        return self.entries.reshape(self.sys_dim, self.env_dim, self.sys_dim, self.env_dim)
-
-    def trace_out_environment(self) -> np.ndarray:
-        """Reduced system matrix, sys_dim x sys_dim."""
-        return np.einsum("mknk->mn", self._blocks())
-
-    def trace_out_system(self) -> np.ndarray:
-        """Reduced environment matrix, env_dim x env_dim."""
-        return np.einsum("mkml->kl", self._blocks())
 
 
 # ---------------------------------------------------------------------------
@@ -308,24 +275,16 @@ def complementary_output(p, params: DephasingParams) -> FockDensityMatrix:
     return FockDensityMatrix(omega)
 
 
-def build_dilated_state(rho: FockDensityMatrix, params: DephasingParams) -> JointState:
-    """U (rho x |0><0|) U^dag via the coherent closed form.
-
-    Joint matrix sum_{m,n} rho[m,n] |m><n| x |-i sqrt(gamma) m><-i sqrt(gamma) n|,
-    with the environment states read from the columns of environment_amplitudes.
-    """
-    c = environment_amplitudes(params, rho.n_max)
-    joint = np.einsum("mn,km,ln->mknl", rho.entries, c, c.conj())
-    d = rho.dim * c.shape[0]
-    return JointState(rho.dim, c.shape[0], joint.reshape(d, d))
-
-
 def dilation_oracle(rho: FockDensityMatrix, params: DephasingParams):
-    """Both partial traces of the dilated state: (system output, environment output)."""
-    joint = build_dilated_state(rho, params)
-    sys_out = FockDensityMatrix(joint.trace_out_environment())
-    env_out = FockDensityMatrix(joint.trace_out_system())
-    return sys_out, env_out
+    """Both partial traces of V rho V^dag: (system output, environment output).
+
+    The dilation V|m> = |m> x |-i sqrt(gamma) m> reads the columns of
+    environment_amplitudes. Tracing out the environment contracts over
+    the table's rows, which is the Kraus sum kraus_apply; tracing out the
+    system keeps only the populations rho[m, m], which weight the coherent
+    states as in complementary_output.
+    """
+    return kraus_apply(rho, params), complementary_output(rho.diagonal(), params)
 
 
 def phase_average_oracle(
@@ -353,8 +312,8 @@ def phase_average_oracle(
 def coherent_information(rho: FockDensityMatrix, params: DephasingParams) -> float:
     """J(rho) = S(channel output) - S(complementary output), in bits.
 
-    Both entropies come from the partial traces of the explicit dilation,
-    independent of the replica path.
+    Both entropies come from dilation_oracle's two partial traces on the
+    environment table, independent of the replica path.
     """
     sys_out, env_out = dilation_oracle(rho, params)
     return vn_entropy_bits(sys_out.entries) - vn_entropy_bits(env_out.entries)

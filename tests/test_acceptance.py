@@ -229,7 +229,7 @@ def test_criterion_11_sweep_determinism(tmp_path):
     second = out.read_bytes()
     report(
         11,
-        "identical sweep config and seed produce byte-identical output files",
+        "identical sweep configs produce byte-identical output files",
         first == second,
         f"{len(first)} bytes",
     )

@@ -277,10 +277,14 @@ class TestSweepCommand:
             (None, ["--gammas", "inf", "--ns", "1"]),
             (None, ["--gammas", "abc", "--ns", "1"]),
             (None, ["--gammas", "1", "--ns", "1.5"]),
+            ("gamma = 1.0\nn = 1", ["--gamma-stop", "2", "--gamma-count", "3"]),
+            (None, ["--gammas", "1", "--gamma-start", "0.1", "--gamma-stop", "0.3",
+                    "--gamma-count", "3", "--ns", "1"]),
         ],
         ids=[
             "file-negative", "file-inf", "file-nan",
             "flag-nan", "flag-inf", "flag-abc", "flag-fractional-n",
+            "flag-linspace-without-start", "flag-gammas-with-linspace",
         ],
     )
     def test_invalid_grid_exits_one(self, tmp_path, capsys, grid, flags):

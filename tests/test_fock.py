@@ -282,13 +282,23 @@ class TestDilationOracle:
         assert np.abs(sys_out.entries - rho.entries).max() < 1e-12
         assert env_out.entries[0, 0].real == pytest.approx(1.0, abs=1e-12)
 
-    def test_joint_state_partial_trace_consistency(self):
+    def test_matches_partial_traces_of_explicit_isometry(self):
+        # V|m> = |m> x c_m, c_m the table's column m; rho has coherences, so
+        # the environment output must come out blind to them
         rng = np.random.default_rng(15)
         rho = random_density_matrix(3, rng)
-        joint = fock.build_dilated_state(rho, DephasingParams(0.5))
-        assert abs(np.trace(joint.entries) - 1.0) < 1e-10
-        sys_mat = joint.trace_out_environment()
-        assert abs(np.trace(sys_mat) - 1.0) < 1e-10
+        params = DephasingParams(0.5)
+        c = environment_amplitudes(params, 2)
+        env_dim = c.shape[0]
+        v = np.zeros((3, env_dim, 3), dtype=complex)
+        for m in range(3):
+            v[m, :, m] = c[:, m]
+        v = v.reshape(3 * env_dim, 3)
+        assert np.abs(v.conj().T @ v - np.eye(3)).max() < 1e-12
+        joint = (v @ rho.entries @ v.conj().T).reshape(3, env_dim, 3, env_dim)
+        sys_out, env_out = dilation_oracle(rho, params)
+        assert np.abs(sys_out.entries - np.einsum("mknk->mn", joint)).max() < 1e-14
+        assert np.abs(env_out.entries - np.einsum("mkml->kl", joint)).max() < 1e-14
 
 
 class TestPhaseAverageOracle:

@@ -1,0 +1,8 @@
+import dephcap
+
+
+def test_all_names_resolve_once():
+    names = dephcap.__all__
+    assert len(names) == len(set(names)), sorted(n for n in set(names) if names.count(n) > 1)
+    missing = [name for name in names if not hasattr(dephcap, name)]
+    assert not missing, missing
