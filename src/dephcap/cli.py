@@ -119,38 +119,51 @@ def _parse_list(text: str, kind=float) -> list:
     return [kind(tok) for tok in text.replace(",", " ").split()]
 
 
-def _sweep_file_fields(path: str) -> dict:
-    """The SweepConfig fields set by a file with [grid] and [output] sections.
+_GRID_KEYS = ("gamma", "gamma_start", "gamma_stop", "gamma_count", "n")
+_FLAG_NAMES = ("--gammas", "--gamma-start", "--gamma-stop", "--gamma-count")
 
-    Unset fields are left out, so that flags can complete a partial file
-    before the merged configuration is validated. Other sections and keys
-    are ignored.
+
+def _sweep_fields(values: dict, names=_GRID_KEYS[:4]) -> dict:
+    """The SweepConfig fields set by one source, the config file or the flags.
+
+    values holds the source's settings under their file keys; names spells
+    the gamma keys as the source does. The linspace keys go together and
+    exclude gamma. Unset fields are left out, so flags can complete a file.
     """
+    fields: dict = {}
+    linspace = [values.get(key) for key in _GRID_KEYS[1:4]]
+    if linspace != [None, None, None]:
+        if "gamma" in values or None in linspace:
+            raise ValueError(f"{'/'.join(names[1:])} go together and exclude {names[0]}")
+        start, stop, count = linspace
+        fields["gamma_grid"] = list(np.linspace(float(start), float(stop), int(count)))
+    elif "gamma" in values:
+        fields["gamma_grid"] = _parse_list(values["gamma"])
+    if "n" in values:
+        fields["n_grid"] = _parse_list(values["n"], int)
+    if "path" in values:
+        fields["output_path"] = values["path"]
+    if "format" in values:
+        fields["format"] = values["format"]
+    return fields
+
+
+def _read_sweep_file(path: str) -> dict:
+    """The [grid] and [output] settings of a sweep file; other keys are ignored."""
     parser = configparser.ConfigParser()
     with open(path, "r", encoding="utf-8") as handle:
         parser.read_file(handle)
-    grid = parser["grid"] if parser.has_section("grid") else {}
-    out = parser["output"] if parser.has_section("output") else {}
-    fields: dict = {}
-    if "gamma" in grid:
-        fields["gamma_grid"] = _parse_list(grid["gamma"])
-    elif "gamma_start" in grid:
-        count = int(grid["gamma_count"])
-        fields["gamma_grid"] = list(
-            np.linspace(float(grid["gamma_start"]), float(grid["gamma_stop"]), count)
-        )
-    if "n" in grid:
-        fields["n_grid"] = _parse_list(grid["n"], int)
-    if "path" in out:
-        fields["output_path"] = out["path"]
-    if "format" in out:
-        fields["format"] = out["format"]
-    return fields
+    sections = (("grid", _GRID_KEYS), ("output", ("path", "format")))
+    return {
+        key: value
+        for section, keys in sections if parser.has_section(section)
+        for key, value in parser[section].items() if key in keys
+    }
 
 
 def load_sweep_config(path: str) -> SweepConfig:
     """A complete sweep configuration read from one file."""
-    return SweepConfig(**_sweep_file_fields(path))
+    return SweepConfig(**_sweep_fields(_read_sweep_file(path)))
 
 
 def write_sweep_csv(results: list[CapacityResult], path: str) -> None:
@@ -221,12 +234,14 @@ def build_parser() -> _Parser:
 
     swp = subs.add_parser("sweep", help="optimize a (gamma, N) grid to a table file")
     swp.add_argument("--config", help="INI-style sweep configuration file")
-    swp.add_argument("--gammas", help="comma/space separated gamma grid (overrides file)")
+    swp.add_argument(
+        "--gammas", dest="gamma", help="comma/space separated gamma grid (overrides file)"
+    )
     swp.add_argument("--gamma-start", type=_nonneg_float)
     swp.add_argument("--gamma-stop", type=_nonneg_float)
     swp.add_argument("--gamma-count", type=_positive_int)
-    swp.add_argument("--ns", help="comma/space separated N grid (overrides file)")
-    swp.add_argument("--output", help="output table path (overrides file)")
+    swp.add_argument("--ns", dest="n", help="comma/space separated N grid (overrides file)")
+    swp.add_argument("--output", dest="path", help="output table path (overrides file)")
     swp.add_argument("--format", choices=("csv", "json"), default=None)
 
     low = subs.add_parser("lower-bound", help="two-point coherent-information bound")
@@ -257,32 +272,16 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    flags = {key: value for key, value in vars(args).items() if value not in (None, "")}
     try:
-        fields = _sweep_file_fields(args.config) if args.config else {}
+        file_values = _read_sweep_file(args.config) if args.config else {}
+        merged = SweepConfig(**{**_sweep_fields(file_values), **_sweep_fields(flags, _FLAG_NAMES)})
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 3
-    except (configparser.Error, KeyError, ValueError) as exc:
+    except configparser.Error as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1
-
-    try:
-        linspace = (args.gamma_start, args.gamma_stop, args.gamma_count)
-        if linspace != (None, None, None):
-            if args.gammas:
-                raise ValueError("--gammas excludes --gamma-start/--gamma-stop/--gamma-count")
-            if None in linspace:
-                raise ValueError("--gamma-start, --gamma-stop and --gamma-count go together")
-            fields["gamma_grid"] = list(np.linspace(*linspace))
-        elif args.gammas:
-            fields["gamma_grid"] = _parse_list(args.gammas)
-        if args.ns:
-            fields["n_grid"] = _parse_list(args.ns, int)
-        if args.output:
-            fields["output_path"] = args.output
-        if args.format:
-            fields["format"] = args.format
-        merged = SweepConfig(**fields)
     except ValueError as exc:
         print(f"invalid sweep configuration: {exc}", file=sys.stderr)
         return 1

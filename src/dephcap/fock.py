@@ -3,8 +3,8 @@
 The channel multiplies the Fock-basis matrix element rho[m, n] by
 exp(-gamma (m-n)^2 / 2): populations are untouched, coherences decay.
 Besides that closed form, this module carries every equivalent
-representation used for cross-validation: a truncated Kraus sum, a
-fourth-order integration of the dephasing master equation, the
+representation used for cross-validation: a truncated Kraus sum, the
+RK4 propagator of the dephasing master equation, the
 complementary channel onto coherent environment states, and a
 Gauss-Hermite phase-randomization integral. The Kraus sum and the
 complementary channel read one environment table, environment_amplitudes:
@@ -16,6 +16,7 @@ V rho V^dag are contractions of that table; the joint state is never built.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -218,16 +219,20 @@ def master_equation_steps(t: float, dim: int, tol: float = 1e-9) -> int:
 
 
 def evolve_master_equation(rho: FockDensityMatrix, t: float, steps: int) -> FockDensityMatrix:
-    """Integrate the dephasing master equation with classical RK4.
+    """Propagate the dephasing master equation by `steps` classical RK4 steps.
 
     Generator: D[n]rho = n rho n - (n^2 rho + rho n^2)/2 with n = a^dag a,
     normalized so that evolving for time t reproduces the closed form at
-    rate gamma = t. Warns with the estimated local error when the step
-    size exceeds the RK4 stability limit for the stiffest mode.
+    rate gamma = t. It acts elementwise, so an RK4 step multiplies every
+    entry by the stability polynomial R(h gen), and `steps` steps by its
+    power: the same integration (generator, step size, order-4 error,
+    stability region) with no loop and no exp, independent of the closed
+    form. Warns with the estimated local error when the step size exceeds
+    the RK4 stability limit for the stiffest mode.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    if steps < 1:
+    if operator.index(steps) < 1:  # a float steps raises: no fractional power
         raise ValueError("steps must be >= 1")
     dim = rho.dim
     # elementwise action of the generator: -(j-k)^2 / 2 * rho[j, k]
@@ -243,14 +248,10 @@ def evolve_master_equation(rho: FockDensityMatrix, t: float, steps: int) -> Fock
             stacklevel=2,
         )
 
-    r = rho.entries.astype(complex)
-    for _ in range(steps):
-        k1 = gen * r
-        k2 = gen * (r + 0.5 * h * k1)
-        k3 = gen * (r + 0.5 * h * k2)
-        k4 = gen * (r + h * k3)
-        r = r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return FockDensityMatrix(r)
+    z = h * gen
+    # R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 in Horner form
+    r = 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
+    return FockDensityMatrix(r ** steps * rho.entries)
 
 
 def phase_rotate(rho: FockDensityMatrix, theta: float) -> FockDensityMatrix:

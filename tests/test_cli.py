@@ -280,11 +280,15 @@ class TestSweepCommand:
             ("gamma = 1.0\nn = 1", ["--gamma-stop", "2", "--gamma-count", "3"]),
             (None, ["--gammas", "1", "--gamma-start", "0.1", "--gamma-stop", "0.3",
                     "--gamma-count", "3", "--ns", "1"]),
+            ("gamma = 1.0\ngamma_start = 0.1\ngamma_stop = 0.3\ngamma_count = 3\nn = 1", []),
+            ("gamma = 1.0\ngamma_stop = 2\nn = 1", []),
+            ("gamma_start = 0.1\ngamma_stop = 0.3\nn = 1", []),
         ],
         ids=[
             "file-negative", "file-inf", "file-nan",
             "flag-nan", "flag-inf", "flag-abc", "flag-fractional-n",
             "flag-linspace-without-start", "flag-gammas-with-linspace",
+            "file-gamma-with-linspace", "file-stop-without-start", "file-incomplete-linspace",
         ],
     )
     def test_invalid_grid_exits_one(self, tmp_path, capsys, grid, flags):
@@ -296,13 +300,21 @@ class TestSweepCommand:
             argv += ["--config", str(cfg)]
         rc = main(argv)
         assert rc == 1
-        assert "invalid" in capsys.readouterr().err
+        assert "invalid sweep configuration" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "grid, flags",
-        [("gamma = 0.5, 1", ["--ns", "2"]), ("n = 1, 2", ["--gammas", "1"])],
-        ids=["file-gamma-flag-ns", "file-n-flag-gammas"],
+        [
+            ("gamma = 0.5, 1", ["--ns", "2"]),
+            ("n = 1, 2", ["--gammas", "1"]),
+            ("gamma_start = 0.1\ngamma_stop = 0.3\ngamma_count = 3\nn = 1",
+             ["--gammas", "0.5,1"]),
+            ("gamma = 1.0\nn = 1", ["--gamma-start", "0.1", "--gamma-stop", "0.3",
+                                    "--gamma-count", "2"]),
+        ],
+        ids=["file-gamma-flag-ns", "file-n-flag-gammas", "file-linspace-flag-gammas",
+             "file-gamma-flag-linspace"],
     )
     def test_flags_complete_partial_file(self, tmp_path, grid, flags):
         out = tmp_path / "completed.csv"

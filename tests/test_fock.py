@@ -190,6 +190,28 @@ class TestMasterEquation:
                 except ValueError:
                     pass  # the unstable iteration may blow up past validation
 
+    @pytest.mark.parametrize("steps", [1, 2, 24, 200])
+    def test_matches_explicit_rk4_loop(self, steps):
+        # the four-stage RK4 step loop on the elementwise generator, written out
+        rho = random_density_matrix(5, np.random.default_rng(12))
+        t, n = 0.25, np.arange(5)
+        gen = -0.5 * np.subtract.outer(n, n) ** 2
+        h = t / steps
+        r = rho.entries
+        for _ in range(steps):
+            k1 = gen * r
+            k2 = gen * (r + 0.5 * h * k1)
+            k3 = gen * (r + 0.5 * h * k2)
+            k4 = gen * (r + h * k3)
+            r = r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out = evolve_master_equation(rho, t, steps)
+        assert np.abs(out.entries - r).max() <= 1e-14
+
+    def test_rejects_fractional_steps(self):
+        rho = random_density_matrix(3, np.random.default_rng(13))
+        with pytest.raises((TypeError, ValueError)):
+            evolve_master_equation(rho, 1.0, 2.5)
+
 
 class TestSemigroupAndCovariance:
     def test_identity_element(self):
