@@ -98,8 +98,8 @@ class SweepConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        if not self.gamma_grid or not self.n_grid:
-            raise ValueError("gamma and N grids must be nonempty")
+        if not (self.gamma_grid and self.n_grid and self.output_path):
+            raise ValueError("gamma grid, N grid and output path must be nonempty")
         if not all(math.isfinite(g) and g >= 0 for g in self.gamma_grid):
             raise ValueError("gamma values must be finite and >= 0")
         if any(n < 1 for n in self.n_grid):
@@ -272,9 +272,9 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    flags = {key: value for key, value in vars(args).items() if value not in (None, "")}
+    flags = {key: value for key, value in vars(args).items() if value is not None}
     try:
-        file_values = _read_sweep_file(args.config) if args.config else {}
+        file_values = _read_sweep_file(args.config) if args.config is not None else {}
         merged = SweepConfig(**{**_sweep_fields(file_values), **_sweep_fields(flags, _FLAG_NAMES)})
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)

@@ -283,15 +283,22 @@ class TestSweepCommand:
             ("gamma = 1.0\ngamma_start = 0.1\ngamma_stop = 0.3\ngamma_count = 3\nn = 1", []),
             ("gamma = 1.0\ngamma_stop = 2\nn = 1", []),
             ("gamma_start = 0.1\ngamma_stop = 0.3\nn = 1", []),
+            ("gamma = 1.0\nn = 1", ["--gammas", ""]),
+            (None, ["--gammas", "1", "--ns", "1", "--output", ""]),
+            (None, ["--config", "", "--gammas", "1", "--ns", "1"]),
         ],
         ids=[
             "file-negative", "file-inf", "file-nan",
             "flag-nan", "flag-inf", "flag-abc", "flag-fractional-n",
             "flag-linspace-without-start", "flag-gammas-with-linspace",
             "file-gamma-with-linspace", "file-stop-without-start", "file-incomplete-linspace",
+            "empty-gammas-over-file", "empty-output", "empty-config",
         ],
     )
-    def test_invalid_grid_exits_one(self, tmp_path, capsys, grid, flags):
+    def test_invalid_grid_exits_one(self, tmp_path, capsys, monkeypatch, grid, flags):
+        # an empty flag is a value, never a fallback; an empty --config path
+        # cannot be read, which is an I/O failure
+        monkeypatch.chdir(tmp_path)
         out = tmp_path / "never.csv"
         argv = ["sweep", "--output", str(out), *flags]
         if grid is not None:
@@ -299,9 +306,11 @@ class TestSweepCommand:
             cfg.write_text(f"[grid]\n{grid}\n")
             argv += ["--config", str(cfg)]
         rc = main(argv)
-        assert rc == 1
-        assert "invalid sweep configuration" in capsys.readouterr().err
-        assert not out.exists()
+        code, message = (3, "cannot read config") if "--config" in flags else \
+            (1, "invalid sweep configuration")
+        assert rc == code
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.glob("*.csv")) == []
 
     @pytest.mark.parametrize(
         "grid, flags",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,12 +151,47 @@ class TestKraus:
             assert tail <= 1e-12, m
 
     def test_explicit_truncation_too_small_raises(self, monkeypatch):
-        # at gamma 2 the rounded completeness sum of column 1 stays 2e-16 from 1
-        # however long the table, so a 1e-20 bound is never met: the table must
-        # refuse rather than return a short Kraus sum
+        # at gamma 2 the rounded completeness sum of column 1 stays 2e-16 from 1,
+        # so a 1e-20 bound is never met: the table must refuse rather than
+        # return a short Kraus sum
         monkeypatch.setattr(fock, "DEFAULT_RESIDUAL_BOUND", 1e-20)
         with pytest.raises(TruncationError, match="residual"):
             environment_amplitudes(DephasingParams(2.0), 1)
+
+    @pytest.mark.parametrize("gamma", [0.25, 1.0, 2.0, 4.0])
+    def test_one_pass_row_count(self, gamma):
+        n_max = 1
+        while gamma * n_max ** 2 <= 1024:
+            lam = gamma * n_max ** 2
+            j_max = math.ceil(lam + 10.0 * math.sqrt(lam + 1.0) + 10.0)
+            assert environment_amplitudes(DephasingParams(gamma), n_max).shape[0] == j_max + 1
+            n_max += 1
+
+    def test_magnitudes_match_mpmath_poisson(self):
+        # |<k|-i sqrt(gamma) m>| = sqrt(Poisson(k; gamma m^2)), in 30-digit arithmetic
+        mpmath = pytest.importorskip("mpmath")
+        gamma, n_max = 1.0, 32
+        mag = np.abs(environment_amplitudes(DephasingParams(gamma), n_max))
+        worst = 0.0
+        with mpmath.workdps(30):
+            for m in range(1, n_max + 1):
+                lam = mpmath.mpf(gamma * m ** 2)
+                for k in map(int, np.flatnonzero(mag[:, m] > 1e-150)):
+                    exact = mpmath.exp((k * mpmath.log(lam) - lam - mpmath.loggamma(k + 1)) / 2)
+                    worst = max(worst, float(abs(mag[k, m] / exact - 1)))
+        assert worst <= 5e-12
+
+    def test_rounding_failure_raises_at_once(self):
+        # gamma N^2 = 6400 is past the table's rounding: it must raise after one
+        # pass, not grow toward a larger table first
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncationError, match="residual"):
+                environment_amplitudes(DephasingParams(4.0), 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
 
 class TestMasterEquation:

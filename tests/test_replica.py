@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dephcap.fock import DephasingParams, environment_amplitudes
-from dephcap.optimize import coherent_information_diagonal, two_point_lower_bound
+from dephcap.optimize import (
+    coherent_information_diagonal,
+    maximize_coherent_information,
+    two_point_lower_bound,
+)
 from dephcap.replica import (
     InputDistribution,
     entropy_bruteforce_oracle,
@@ -192,6 +196,15 @@ class TestBruteForceOracle:
             omega = complementary_output(p, params)
             lam = np.sort(np.linalg.eigvalsh(omega.entries))[-(n_max + 1):]
             assert np.abs(a - lam).max() < 1e-8
+
+    @pytest.mark.parametrize("n_max, gamma", [(32, 1.0), (24, 2.0), (16, 4.0)])
+    def test_anchors_solver_at_benchmark_size(self, n_max, gamma):
+        # the solver's J against H(p) - S(Omega) with Omega diagonalized on
+        # the full environment table, at the optimum it certifies
+        params = DephasingParams(gamma)
+        res = maximize_coherent_information(n_max, params)
+        slow = shannon_entropy(res.p_opt) - entropy_bruteforce_oracle(res.p_opt, params)
+        assert abs(res.q_bits - slow) <= 1e-9
 
 
 class TestShannonEntropy:
