@@ -77,7 +77,7 @@ def _result_fields(res: CapacityResult) -> dict:
 
 
 def _print_record(fields: dict, inputs: dict) -> None:
-    """Print fields plus provenance as key=value lines on stdout.
+    """Print fields plus the provenance of inputs, the parsed arguments, as key=value lines.
 
     Values round-trip losslessly at the printed precision; timestamps are
     attached to these interactive records only, never to sweep files.
@@ -159,11 +159,6 @@ def _read_sweep_file(path: str) -> dict:
         for section, keys in sections if parser.has_section(section)
         for key, value in parser[section].items() if key in keys
     }
-
-
-def load_sweep_config(path: str) -> SweepConfig:
-    """A complete sweep configuration read from one file."""
-    return SweepConfig(**_sweep_fields(_read_sweep_file(path)))
 
 
 def write_sweep_csv(results: list[CapacityResult], path: str) -> None:
@@ -266,8 +261,7 @@ def build_parser() -> _Parser:
 
 def cmd_capacity(args) -> int:
     result = maximize_coherent_information(args.n, DephasingParams(args.gamma))
-    inputs = {"command": "capacity", "n": args.n, "gamma": args.gamma}
-    _print_record(_result_fields(result), inputs)
+    _print_record(_result_fields(result), vars(args))
     return 0 if result.converged else 2
 
 
@@ -301,15 +295,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_lower_bound(args) -> int:
     bound = two_point_lower_bound(DephasingParams(args.gamma), args.j)
-    _print_record(asdict(bound), {"command": "lower-bound", "gamma": args.gamma, "j": args.j})
+    _print_record(asdict(bound), vars(args))
     return 0
 
 
 def cmd_ansatz(args) -> int:
     sigma_opt, q_bits = maximize_over_ansatz(args.n, DephasingParams(args.gamma))
-    inputs = {"command": "ansatz", "n": args.n, "gamma": args.gamma}
     fields = {"gamma": args.gamma, "N": args.n, "sigma_opt": sigma_opt, "q_bits": q_bits}
-    _print_record(fields, inputs)
+    _print_record(fields, vars(args))
     return 0
 
 
@@ -325,8 +318,7 @@ def cmd_asymptotic(args) -> int:
         "converged": result.converged,
         "gap": result.gap,
     }
-    inputs = {"command": "asymptotic", "n": args.n, "gamma": args.gamma}
-    _print_record(fields, inputs)
+    _print_record(fields, vars(args))
     return 0 if result.converged else 2
 
 

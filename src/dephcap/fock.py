@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,10 +61,12 @@ class FockDensityMatrix:
 
     Construction validates finiteness, Hermiticity (1e-12), unit trace
     (1e-12) and positivity (eigenvalues >= -1e-10); entries are frozen
-    afterwards.
+    afterwards. The eigenvalues of the positivity check are kept, read-only,
+    as spectrum, so a state is diagonalized once: entropy_bits reads them.
     """
 
     entries: np.ndarray
+    spectrum: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m = np.array(self.entries, dtype=complex)
@@ -78,11 +80,14 @@ class FockDensityMatrix:
         tr = m.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace must be 1 within {TRACE_TOL:.0e}, got {tr:.15g}")
-        lo = np.linalg.eigvalsh(m).min()
+        spectrum = np.linalg.eigvalsh(m)
+        lo = spectrum.min()
         if lo < EIGENVALUE_FLOOR:
             raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {lo:.3e}")
         m.setflags(write=False)
+        spectrum.setflags(write=False)
         object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def dim(self) -> int:
@@ -95,28 +100,13 @@ class FockDensityMatrix:
     def diagonal(self) -> np.ndarray:
         return self.entries.diagonal().real.copy()
 
+    def entropy_bits(self) -> float:
+        """Von Neumann entropy -Tr[rho log2 rho] of the kept spectrum, clamped at 0."""
+        return max(shannon_bits(self.spectrum), 0.0)
+
 
 # ---------------------------------------------------------------------------
 # state constructors
-
-def fock_state(n: int, dim: int) -> FockDensityMatrix:
-    """|n><n| on a dim-dimensional truncated space."""
-    if not 0 <= n < dim:
-        raise ValueError(f"need 0 <= n < dim, got n={n}, dim={dim}")
-    m = np.zeros((dim, dim), dtype=complex)
-    m[n, n] = 1.0
-    return FockDensityMatrix(m)
-
-
-def pure_state(vec) -> FockDensityMatrix:
-    """|psi><psi| from an (unnormalized) coefficient vector."""
-    v = np.asarray(vec, dtype=complex)
-    nrm = np.linalg.norm(v)
-    if nrm == 0:
-        raise ValueError("zero vector")
-    v = v / nrm
-    return FockDensityMatrix(np.outer(v, v.conj()))
-
 
 def diagonal_state(weights) -> FockDensityMatrix:
     """Mixture of Fock states with the given probability weights."""
@@ -132,7 +122,7 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> FockDensityMatr
 
 
 # ---------------------------------------------------------------------------
-# entropy helpers
+# entropy kernel
 
 def shannon_bits(values) -> float:
     """-sum x log2 x over the positive entries of values, with 0 log 0 = 0."""
@@ -141,11 +131,6 @@ def shannon_bits(values) -> float:
     if x.size == 0:
         return 0.0
     return float(-(x * np.log(x)).sum() / _LN2)
-
-
-def vn_entropy_bits(matrix: np.ndarray) -> float:
-    """Von Neumann entropy -Tr[rho log2 rho] of a Hermitian PSD matrix."""
-    return max(shannon_bits(np.linalg.eigvalsh(matrix)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +188,8 @@ def kraus_apply(rho: FockDensityMatrix, params: DephasingParams) -> FockDensityM
     return FockDensityMatrix(np.einsum("ja,ab,jb->ab", k, rho.entries, k.conj()))
 
 
-def master_equation_steps(t: float, dim: int, tol: float = 1e-9) -> int:
-    """Step count for evolve_master_equation targeting global error ~tol.
+def master_equation_steps(t: float, dim: int) -> int:
+    """Step count for evolve_master_equation targeting global error ~1e-10.
 
     Conservative count from the RK4 local error model (h L)^5/120 per step
     with L = (dim-1)^2/2 the stiffest decay rate of the truncated generator.
@@ -212,7 +197,7 @@ def master_equation_steps(t: float, dim: int, tol: float = 1e-9) -> int:
     lam = (dim - 1) ** 2 / 2.0
     if t <= 0.0 or lam == 0.0:
         return 1
-    h = (120.0 * tol / (t * lam ** 5)) ** 0.25
+    h = (120.0 * 1e-10 / (t * lam ** 5)) ** 0.25
     h = min(h, RK4_STABILITY_LIMIT / lam)
     return max(int(math.ceil(t / h)), 20)
 
@@ -313,7 +298,8 @@ def coherent_information(rho: FockDensityMatrix, params: DephasingParams) -> flo
     """J(rho) = S(channel output) - S(complementary output), in bits.
 
     Both entropies come from dilation_oracle's two partial traces on the
-    environment table, independent of the replica path.
+    environment table, independent of the replica path, and read the
+    spectra their construction already computed.
     """
     sys_out, env_out = dilation_oracle(rho, params)
-    return vn_entropy_bits(sys_out.entries) - vn_entropy_bits(env_out.entries)
+    return sys_out.entropy_bits() - env_out.entropy_bits()

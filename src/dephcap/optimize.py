@@ -29,7 +29,6 @@ GAP_RTOL = 1e-5
 MAX_NEWTON_STEPS = 100
 FD_STEP = 1e-6
 _EPS = float(np.finfo(float).eps)
-_GRADIENT_MODES = ("analytic", "finite_difference")
 
 
 @dataclass(frozen=True)
@@ -37,9 +36,7 @@ class CapacityResult:
     """One optimized point: truncation N, rate gamma and the value in bits.
 
     gap is the duality gap at p_opt in bits, so the true truncated
-    capacity lies in [q_bits, q_bits + gap] up to the rounding of J;
-    converged means gap is at most GAP_RTOL * q_bits and that rounding,
-    relative 50 eps e^{gamma/2}, is at most GAP_RTOL (gamma <= 41.24).
+    capacity lies in [q_bits, q_bits + gap] up to the rounding of J.
     error is the text of the exception that failed a sweep point (whose
     q_bits and gap are then nan), and None for a solved point.
     """
@@ -49,19 +46,28 @@ class CapacityResult:
     q_bits: float
     p_opt: InputDistribution | None
     iterations: int
-    converged: bool
     gap: float
     error: str | None = None
 
     def __post_init__(self):
         if math.isnan(self.q_bits):
-            if self.converged:
-                raise ValueError("a converged result cannot carry q_bits = nan")
             return
         if self.q_bits < 0.0:
             raise ValueError(f"q_bits must be >= 0, got {self.q_bits!r}")
         if self.q_bits > math.log2(self.n_max + 1) + 1e-9:
             raise ValueError(f"q_bits {self.q_bits!r} exceeds log2(N+1)")
+
+    @property
+    def converged(self) -> bool:
+        """The certificate: gap is at most GAP_RTOL * q_bits and so is J's rounding.
+
+        J's rounding is relative 50 eps e^{gamma/2}, at most GAP_RTOL up to
+        gamma 41.24. A nan gap fails the first test, so a failed point never
+        converges.
+        """
+        if not self.gap <= GAP_RTOL * self.q_bits:
+            return False
+        return 50.0 * _EPS <= GAP_RTOL * math.exp(-self.gamma / 2.0)
 
     def mean_energy(self) -> float:
         if self.p_opt is None:
@@ -232,42 +238,38 @@ def _hessian(weights, a, v):
     return hess
 
 
-def _fd_gradient(weights, gamma, step=FD_STEP):
-    """Central differences of the raw objective along each coordinate."""
+def _fd_gradient(weights, gamma):
+    """Central differences of the textbook H(p) - S(A(p)) in bits.
+
+    The independent reference for objective_gradient, projected onto the
+    simplex tangent as it is. Every weight must exceed FD_STEP, so that no
+    probe weight goes negative.
+    """
+    if weights.min() <= FD_STEP:
+        raise ValueError(f"finite-difference gradient requires every p_m > {FD_STEP:g}")
     grad = np.empty(weights.size)
     for k in range(weights.size):
         hi = weights.copy()
         lo = weights.copy()
-        hi[k] += step
-        lo[k] -= step
+        hi[k] += FD_STEP
+        lo[k] -= FD_STEP
         grad[k] = (
             replica._objective_bits_raw(hi, gamma) - replica._objective_bits_raw(lo, gamma)
-        ) / (2.0 * step)
-    return grad
+        ) / (2.0 * FD_STEP)
+    return grad - grad.mean()
 
 
-def objective_gradient(
-    p: InputDistribution, params: DephasingParams, mode: str = "analytic"
-) -> np.ndarray:
+def objective_gradient(p: InputDistribution, params: DephasingParams) -> np.ndarray:
     """Gradient of J(p) = H(p) - S(A(p)) in bits, projected onto the simplex tangent.
 
-    Both modes return the tangent-space projection (component sums vanish),
-    which is the quantity that drives simplex ascent and the one on which
-    the two modes are comparable; unprojected gradients differ only by the
+    The tangent-space projection (component sums vanish) is the quantity
+    that drives simplex ascent; unprojected gradients differ only by the
     constant multiples of the all-ones vector that normalization absorbs.
-    The solver uses the analytic mode; finite differences are a check on it
-    and need every p_m above FD_STEP, so that no probe weight goes negative.
+    It is the solver's analytic gradient; _fd_gradient is the check on it.
     """
-    if mode not in _GRADIENT_MODES:
-        raise ValueError(f"mode must be one of {_GRADIENT_MODES}")
     if p.p.min() <= 0.0:
         raise ValueError("gradient requires strictly positive p")
-    if mode == "finite_difference" and p.p.min() <= FD_STEP:
-        raise ValueError(f"finite-difference gradient requires every p_m > {FD_STEP:g}")
-    if mode == "analytic":
-        grad = _objective_and_gradient(p.p, params.gamma)[1] / _LN2
-    else:
-        grad = _fd_gradient(p.p, params.gamma)
+    grad = _objective_and_gradient(p.p, params.gamma)[1] / _LN2
     bad = np.flatnonzero(~np.isfinite(grad))
     if bad.size:
         raise ValueError(f"non-finite gradient component at index {bad[0]}")
@@ -372,7 +374,6 @@ def maximize_coherent_information(n_max: int, params: DephasingParams) -> Capaci
         q_bits=value / _LN2,
         p_opt=InputDistribution(w),
         iterations=iterations,
-        converged=gap <= GAP_RTOL * value and 50.0 * _EPS <= GAP_RTOL * params.epsilon,
         gap=gap / _LN2,
     )
 
@@ -380,8 +381,8 @@ def maximize_coherent_information(n_max: int, params: DephasingParams) -> Capaci
 # ---------------------------------------------------------------------------
 # discrete Gaussian ansatz search
 
-def _golden_section_max(f, lo: float, hi: float, tol: float = 1e-10):
-    """Golden-section search for the maximum of a unimodal f on [lo, hi]."""
+def _golden_section_max(f, lo: float, hi: float):
+    """Golden-section search for the maximum of a unimodal f on [lo, hi], to relative 1e-10."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = float(lo), float(hi)
     c = b - inv_phi * (b - a)
@@ -389,7 +390,7 @@ def _golden_section_max(f, lo: float, hi: float, tol: float = 1e-10):
     fc, fd = f(c), f(d)
     if not (math.isfinite(fc) and math.isfinite(fd)):
         raise ValueError(f"bracket failure: non-finite objective on [{lo}, {hi}]")
-    while (b - a) > tol * (1.0 + abs(a) + abs(b)):
+    while (b - a) > 1e-10 * (1.0 + abs(a) + abs(b)):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -454,7 +455,6 @@ def _sweep_point(n_max: int, gamma: float) -> CapacityResult:
             q_bits=math.nan,
             p_opt=None,
             iterations=0,
-            converged=False,
             gap=math.nan,
             error=str(exc),
         )

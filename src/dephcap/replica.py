@@ -42,17 +42,9 @@ class InputDistribution:
         w.setflags(write=False)
         object.__setattr__(self, "p", w)
 
-    @classmethod
-    def uniform(cls, dim: int) -> "InputDistribution":
-        return cls(np.full(dim, 1.0 / dim))
-
     @property
     def dim(self) -> int:
         return self.p.size
-
-    @property
-    def n_max(self) -> int:
-        return self.p.size - 1
 
     def mean_energy(self) -> float:
         return float(np.arange(self.dim) @ self.p)
@@ -105,10 +97,9 @@ def entropy_bruteforce_oracle(p: InputDistribution, params: DephasingParams) -> 
     Omega is fock.complementary_output, the p-weighted mixture of the
     columns of fock.environment_amplitudes, whose every coherent state
     misses at most fock.DEFAULT_RESIDUAL_BOUND of its mass; it is
-    diagonalized at full environment size, independent of gram_matrix.
+    diagonalized once, at full environment size, independent of gram_matrix.
     """
-    omega = fock.complementary_output(p, params)
-    return fock.vn_entropy_bits(omega.entries)
+    return fock.complementary_output(p, params).entropy_bits()
 
 
 def shannon_entropy(p: InputDistribution) -> float:

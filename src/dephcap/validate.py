@@ -54,7 +54,7 @@ def suite_representation_equivalence(level: str = "quick") -> SuiteResult:
                 fock.apply_dephasing(rho, params),
                 fock.kraus_apply(rho, params),
                 fock.evolve_master_equation(
-                    rho, gamma, fock.master_equation_steps(gamma, rho.dim, 1e-10)
+                    rho, gamma, fock.master_equation_steps(gamma, rho.dim)
                 ),
                 fock.phase_average_oracle(rho, params, 96),
             ]

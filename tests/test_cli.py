@@ -13,7 +13,7 @@ import pytest
 
 from dephcap import fock, optimize, replica, validate
 from dephcap.fock import DephasingParams, FockDensityMatrix
-from dephcap.cli import SweepConfig, build_parser, fmt, load_sweep_config, main
+from dephcap.cli import SweepConfig, _read_sweep_file, _sweep_fields, build_parser, fmt, main
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -24,6 +24,11 @@ def readme_block(heading, lang):
     text = README.read_text(encoding="utf-8")
     section = text[text.index(f"\n{heading}\n"):]
     return re.search(rf"```{lang}\n(.*?)```", section, re.S).group(1)
+
+
+def load_config(path):
+    """A complete sweep configuration read from one file, as `dephcap sweep --config` reads it."""
+    return SweepConfig(**_sweep_fields(_read_sweep_file(str(path))))
 
 
 def closed_form_q2(gamma):
@@ -383,7 +388,7 @@ class TestConfigLoader:
         cfg.write_text(
             "[grid]\ngamma_start = 0.0\ngamma_stop = 1.0\ngamma_count = 5\nn = 1 2\n"
         )
-        loaded = load_sweep_config(str(cfg))
+        loaded = load_config(cfg)
         assert loaded.gamma_grid == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
         assert loaded.n_grid == [1, 2]
 
@@ -394,7 +399,7 @@ class TestConfigLoader:
             "[grid]\ngamma = 1.0\nn = 1\n\n[optimizer]\nmax_iterations = 50\n"
             "objective_tolerance = 1e-9\n"
         )
-        loaded = load_sweep_config(str(cfg))
+        loaded = load_config(cfg)
         assert loaded == SweepConfig(gamma_grid=[1.0], n_grid=[1])
 
 
@@ -513,7 +518,7 @@ class TestReadmeDrift:
     def test_sweep_config_example_loads(self, tmp_path):
         cfg = tmp_path / "sweep.ini"
         cfg.write_text(readme_block("### Sweep configuration", "ini"))
-        loaded = load_sweep_config(str(cfg))
+        loaded = load_config(cfg)
         assert loaded.gamma_grid and loaded.n_grid
 
     def test_library_example_runs(self, capsys):

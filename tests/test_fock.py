@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -17,20 +18,22 @@ from dephcap.fock import (
     dilation_oracle,
     environment_amplitudes,
     evolve_master_equation,
-    fock_state,
     kraus_apply,
     master_equation_steps,
     phase_average_oracle,
     phase_rotate,
-    pure_state,
     random_density_matrix,
-    vn_entropy_bits,
 )
 
 
 def plus_state():
     """Uniform superposition of |0> and |1>: all matrix entries 1/2."""
-    return pure_state([1.0, 1.0])
+    return FockDensityMatrix(np.full((2, 2), 0.5))
+
+
+def fock_state(n, dim):
+    """|n><n| on a dim-dimensional truncated space."""
+    return FockDensityMatrix(np.diag(np.eye(dim)[n]))
 
 
 def closed_form(rho, gamma):
@@ -82,6 +85,24 @@ class TestDomainTypes:
         rho = fock_state(0, 3)
         with pytest.raises(ValueError):
             rho.entries[0, 0] = 2.0
+
+    def test_spectrum_is_the_positivity_check_eigenvalues(self):
+        rng = np.random.default_rng(9)
+        for dim in (1, 2, 5, 9):
+            rho = random_density_matrix(dim, rng)
+            assert np.array_equal(rho.spectrum, np.linalg.eigvalsh(rho.entries))
+            with pytest.raises(ValueError):
+                rho.spectrum[0] = 2.0
+        # derived from the entries: not an init argument and not part of ==
+        with pytest.raises(TypeError):
+            FockDensityMatrix(np.eye(1), spectrum=np.ones(1))
+        (spectrum,) = [f for f in dataclasses.fields(FockDensityMatrix) if f.name == "spectrum"]
+        assert not spectrum.init and not spectrum.compare
+
+    def test_entropy_bits_of_maximally_mixed_state(self):
+        rho = FockDensityMatrix(np.eye(4) / 4.0)
+        assert rho.entropy_bits() == pytest.approx(2.0, abs=1e-14)
+        assert fock_state(2, 4).entropy_bits() == 0.0
 
     def test_coherent_vector_matches_definition(self):
         # column m of the environment table is |-i sqrt(gamma) m>
@@ -204,7 +225,7 @@ class TestMasterEquation:
     def test_matches_closed_form_at_t_equals_gamma(self):
         rng = np.random.default_rng(5)
         rho = random_density_matrix(4, rng)
-        steps = master_equation_steps(1.0, 4, tol=1e-10)
+        steps = master_equation_steps(1.0, 4)
         out = evolve_master_equation(rho, 1.0, steps)
         assert np.abs(out.entries - closed_form(rho, 1.0)).max() < 1e-8
 
@@ -304,7 +325,7 @@ class TestComplementaryOutput:
 
     def test_point_mass_gives_pure_output(self):
         out = complementary_output(np.array([1.0, 0.0, 0.0]), DephasingParams(1.5))
-        assert vn_entropy_bits(out.entries) == pytest.approx(0.0, abs=1e-12)
+        assert out.entropy_bits() == pytest.approx(0.0, abs=1e-12)
 
     def test_two_point_eigenvalues(self):
         # q_pm = (1 +- e^{-gamma/2})/2 for the equal mixture on {|0>,|1>}
@@ -398,7 +419,7 @@ class TestRepresentationEquivalence:
                 "closed": apply_dephasing(rho, params).entries,
                 "kraus": kraus_apply(rho, params).entries,
                 "master": evolve_master_equation(
-                    rho, gamma, master_equation_steps(gamma, dim, 1e-10)
+                    rho, gamma, master_equation_steps(gamma, dim)
                 ).entries,
                 "dilation": dilation_oracle(rho, params)[0].entries,
                 "quadrature": phase_average_oracle(rho, params, 96).entries,
@@ -420,3 +441,17 @@ class TestProposition1:
                 j_rho = fock.coherent_information(rho, params)
                 j_diag = fock.coherent_information(diag, params)
                 assert j_rho <= j_diag + 1e-9
+
+    def test_two_diagonalizations_per_evaluation(self, monkeypatch):
+        # one per partial trace, in its constructor; the entropies reuse those spectra
+        rho = random_density_matrix(4, np.random.default_rng(21))
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(matrix):
+            calls.append(matrix.shape)
+            return eigvalsh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        fock.coherent_information(rho, DephasingParams(1.0))
+        assert len(calls) == 2

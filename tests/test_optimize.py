@@ -6,6 +6,7 @@ import pytest
 from dephcap.fock import DephasingParams, shannon_bits
 from dephcap.optimize import (
     _ansatz_weights,
+    _fd_gradient,
     _hessian,
     _objective_and_gradient,
     CapacityResult,
@@ -122,8 +123,8 @@ class TestObjectiveGradient:
         params = DephasingParams(gamma)
         for _ in range(3):
             p = interior_distribution(rng, n_max + 1)
-            ga = objective_gradient(p, params, "analytic")
-            gf = objective_gradient(p, params, "finite_difference")
+            ga = objective_gradient(p, params)
+            gf = _fd_gradient(p.p, gamma)
             assert np.linalg.norm(ga - gf) / np.linalg.norm(gf) < 1e-6
 
     def test_symmetric_point_is_critical_for_two_levels(self):
@@ -148,13 +149,12 @@ class TestObjectiveGradient:
         # a weight within FD_STEP of 0 would send the lower probe negative
         p = InputDistribution(np.array([5e-7, 0.5, 0.5 - 5e-7]))
         with pytest.raises(ValueError, match="finite-difference"):
-            objective_gradient(p, DephasingParams(1.0), "finite_difference")
+            _fd_gradient(p.p, 1.0)
 
     def test_gradient_sums_to_zero(self):
         rng = np.random.default_rng(8)
         p = interior_distribution(rng, 4)
-        for mode in ("analytic", "finite_difference"):
-            g = objective_gradient(p, DephasingParams(0.8), mode)
+        for g in (objective_gradient(p, DephasingParams(0.8)), _fd_gradient(p.p, 0.8)):
             assert abs(g.sum()) < 1e-9
 
 
@@ -290,7 +290,7 @@ class TestMaximizeCoherentInformation:
     def test_converged_means_relative_gap_certified(self, n_max, gamma):
         # J is concave, so max_m dJ/dp_m - p.grad J bounds the distance to the optimum
         res = maximize_coherent_information(n_max, DephasingParams(gamma))
-        g = objective_gradient(res.p_opt, DephasingParams(gamma), "analytic")
+        g = objective_gradient(res.p_opt, DephasingParams(gamma))
         gap = g.max() - res.p_opt.p @ g
         assert res.converged
         assert gap <= 1e-5 * res.q_bits
@@ -353,17 +353,18 @@ class TestMaximizeCoherentInformation:
 class TestCapacityResultValidation:
     def test_rejects_negative_q(self):
         with pytest.raises(ValueError):
-            CapacityResult(1.0, 1, -0.5, InputDistribution.uniform(2), 1, True, 0.0)
+            CapacityResult(1.0, 1, -0.5, InputDistribution(np.full(2, 0.5)), 1, 0.0)
 
     def test_rejects_q_above_log2(self):
         with pytest.raises(ValueError):
-            CapacityResult(1.0, 1, 1.5, InputDistribution.uniform(2), 1, True, 0.0)
+            CapacityResult(1.0, 1, 1.5, InputDistribution(np.full(2, 0.5)), 1, 0.0)
 
     def test_nan_only_when_not_converged(self):
-        with pytest.raises(ValueError):
-            CapacityResult(1.0, 1, math.nan, None, 0, True, 0.0)
-        res = CapacityResult(1.0, 1, math.nan, None, 0, False, math.nan)
-        assert math.isnan(res.mean_energy())
+        # converged is computed from q_bits and gap, so a nan result cannot claim it
+        for gap in (0.0, math.nan):
+            res = CapacityResult(1.0, 1, math.nan, None, 0, gap)
+            assert res.converged is False
+            assert math.isnan(res.mean_energy())
 
 
 class TestAnsatz:
@@ -442,7 +443,7 @@ class TestAsymptoticCapacity:
         assert value == pytest.approx(math.exp(-8.0) / (2.0 * LN2), rel=1e-12)
 
     def test_uniform_hits_removable_singularity(self):
-        p = InputDistribution.uniform(5)
+        p = InputDistribution(np.full(5, 0.2))
         value = asymptotic_capacity(p, DephasingParams(9.0))
         assert value == pytest.approx(math.exp(-9.0) * 4 * 0.2 / LN2, rel=1e-12)
 

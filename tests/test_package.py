@@ -15,6 +15,13 @@ def test_all_names_resolve_once():
     assert not missing, missing
 
 
+def test_removed_names_stay_removed():
+    # one entropy per state (FockDensityMatrix.entropy_bits); states are built directly
+    removed = {"vn_entropy_bits", "fock_state", "pure_state"}
+    assert not removed & set(dephcap.__all__)
+    assert not any(hasattr(dephcap, name) for name in removed)
+
+
 def test_bench_tracer_targets_resolve():
     # the benchmark worker wraps these attributes by name; a rename must fail here
     spec = importlib.util.spec_from_file_location("bench_worker", WORKER)

@@ -55,10 +55,10 @@ class TestInputDistribution:
     def test_mean_energy(self):
         p = InputDistribution(np.array([0.25, 0.25, 0.5]))
         assert p.mean_energy() == pytest.approx(1.25, abs=1e-15)
-        assert p.mean_energy() <= p.n_max
+        assert p.mean_energy() <= p.dim - 1
 
     def test_uniform(self):
-        p = InputDistribution.uniform(4)
+        p = InputDistribution(np.full(4, 0.25))
         assert p.p == pytest.approx(0.25)
 
 
@@ -206,11 +206,25 @@ class TestBruteForceOracle:
         slow = shannon_entropy(res.p_opt) - entropy_bruteforce_oracle(res.p_opt, params)
         assert abs(res.q_bits - slow) <= 1e-9
 
+    def test_one_diagonalization(self, monkeypatch):
+        # Omega's constructor diagonalizes it once; the entropy reads that spectrum
+        p = InputDistribution(np.array([0.2, 0.3, 0.5]))
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(matrix):
+            calls.append(matrix.shape)
+            return eigvalsh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        entropy_bruteforce_oracle(p, DephasingParams(1.0))
+        assert len(calls) == 1
+
 
 class TestShannonEntropy:
     def test_uniform(self):
         for dim in (2, 4, 8):
-            p = InputDistribution.uniform(dim)
+            p = InputDistribution(np.full(dim, 1.0 / dim))
             assert shannon_entropy(p) == pytest.approx(math.log2(dim), abs=1e-12)
 
     def test_point_mass(self):
@@ -223,7 +237,7 @@ class TestShannonEntropy:
 
 class TestCoherentInformationDiagonal:
     def test_gamma_zero_uniform(self):
-        p = InputDistribution.uniform(4)
+        p = InputDistribution(np.full(4, 0.25))
         assert coherent_information_diagonal(p, DephasingParams(0.0)) == pytest.approx(
             2.0, abs=1e-12
         )
