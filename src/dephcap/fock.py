@@ -9,14 +9,16 @@ complementary channel onto coherent environment states, and a
 Gauss-Hermite phase-randomization integral. The Kraus sum and the
 complementary channel read one environment table, environment_amplitudes:
 the Kraus operators are its rows, the coherent states of the dilation
-V|m> = |m> x |-i sqrt(gamma) m> its columns. Both partial traces of
+V|m> = |m> x |sqrt(gamma) m> its columns. Both partial traces of
 V rho V^dag are contractions of that table; the joint state is never built.
-The table is built in one pass; it raises TruncationError where rounding
-breaks its 1e-12 completeness bound (gamma N^2 from about 2,000 on).
+The real table is built in one pass, cached per (gamma, N) and read-only;
+it raises TruncationError where rounding breaks its 1e-12 completeness
+bound (gamma N^2 from about 2,000 on).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import warnings
@@ -55,21 +57,23 @@ class DephasingParams:
         return math.exp(-self.gamma / 2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockDensityMatrix:
     """Density matrix on a Fock space truncated to dimension dim = N+1.
 
     Construction validates finiteness, Hermiticity (1e-12), unit trace
     (1e-12) and positivity (eigenvalues >= -1e-10); entries are frozen
-    afterwards. The eigenvalues of the positivity check are kept, read-only,
-    as spectrum, so a state is diagonalized once: entropy_bits reads them.
+    afterwards, float64 for real input and complex128 for complex input.
+    The eigenvalues of the positivity check are kept, read-only, as
+    spectrum, so a state is diagonalized once: entropy_bits reads them.
+    == is identity.
     """
 
     entries: np.ndarray
     spectrum: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        m = np.array(self.entries, dtype=complex)
+        m = np.array(self.entries, dtype=complex if np.iscomplexobj(self.entries) else float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise ValueError(f"entries must be a nonempty square matrix, got shape {m.shape}")
         if not np.isfinite(m).all():
@@ -111,7 +115,7 @@ class FockDensityMatrix:
 def diagonal_state(weights) -> FockDensityMatrix:
     """Mixture of Fock states with the given probability weights."""
     w = np.asarray(getattr(weights, "p", weights), dtype=float)
-    return FockDensityMatrix(np.diag(w.astype(complex)))
+    return FockDensityMatrix(np.diag(w))
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> FockDensityMatrix:
@@ -147,45 +151,65 @@ def apply_dephasing(rho: FockDensityMatrix, params: DephasingParams) -> FockDens
     return FockDensityMatrix(factors * rho.entries)
 
 
-def environment_amplitudes(params: DephasingParams, n_max: int) -> np.ndarray:
-    """The (K, N+1) environment table <k|-i sqrt(gamma) m>, k < K, m = 0..N.
-
-    Column m is the coherent environment state the dilation attaches to
-    Fock level m. Row k is the diagonal of the Kraus operator
-    K_k = e^{-gamma (a^dag a)^2 / 2} (-i sqrt(gamma) a^dag a)^k / sqrt(k!).
-    Magnitudes are assembled in log space, with log k! from lgamma, so large
-    k and gamma m^2 neither overflow nor drift. One pass builds K = ceil(lam
-    + 10 sqrt(lam + 1) + 10) + 1 rows, lam = gamma N^2: the Poisson(gamma m^2)
-    tail past K is below 1e-21 for lam <= 1e6, so a column defect
-    |1 - sum_k |<k|.>|^2| above DEFAULT_RESIDUAL_BOUND is rounding that more
-    rows cannot remove, and raises TruncationError. Below it the Kraus sum is
-    trace preserving and the dilation isometric to that accuracy.
-    """
-    lam = params.gamma * n_max ** 2
+# A validation suite cycles through at most 15 (gamma, N) keys; 16 entries
+# hold them all while bounding what a long-lived process keeps.
+@functools.lru_cache(maxsize=16)
+def _environment_table(gamma: float, n_max: int) -> tuple[np.ndarray, float]:
+    """(read-only table, column defect); a build that fails the bound raises, uncached."""
+    lam = gamma * n_max ** 2
     j_max = int(math.ceil(lam + 10.0 * math.sqrt(lam + 1.0) + 10.0))
     m = np.arange(n_max + 1, dtype=float)
-    sqrt_g_m = np.sqrt(params.gamma) * m
+    sqrt_g_m = np.sqrt(gamma) * m
     k = np.arange(j_max + 1)
     log_fact = np.array([math.lgamma(j + 1.0) for j in range(j_max + 1)])
     with np.errstate(divide="ignore", invalid="ignore"):
         log_amp = np.where(sqrt_g_m > 0.0, np.log(sqrt_g_m), -np.inf)
-        log_mag = -params.gamma * m[None, :] ** 2 / 2.0 + k[:, None] * log_amp[None, :] \
+        log_mag = -gamma * m[None, :] ** 2 / 2.0 + k[:, None] * log_amp[None, :] \
             - 0.5 * log_fact[:, None]
     # the k = 0 row hits 0 * (-inf) wherever the amplitude vanishes; K_0 is
     # e^{-gamma m^2 / 2} there
-    log_mag[0, :] = -params.gamma * m ** 2 / 2.0
-    table = np.exp(log_mag) * ((-1j) ** k)[:, None]
-    defect = np.abs(1.0 - (np.abs(table) ** 2).sum(axis=0)).max()
+    log_mag[0, :] = -gamma * m ** 2 / 2.0
+    table = np.exp(log_mag)
+    defect = float(np.abs(1.0 - (table ** 2).sum(axis=0)).max())
+    _check_defect(defect, j_max + 1, lam)
+    table.setflags(write=False)
+    return table, defect
+
+
+def _check_defect(defect: float, rows: int, lam: float) -> None:
     if defect > DEFAULT_RESIDUAL_BOUND:
-        raise TruncationError(f"{j_max + 1} table rows miss residual {DEFAULT_RESIDUAL_BOUND:.1e} "
+        raise TruncationError(f"{rows} table rows miss residual {DEFAULT_RESIDUAL_BOUND:.1e} "
                               f"by rounding: worst defect {defect:.3e}, gamma N^2 = {lam:.6g}")
+
+
+def environment_amplitudes(params: DephasingParams, n_max: int) -> np.ndarray:
+    """The real (K, N+1) environment table <k|sqrt(gamma) m>, k < K, m = 0..N.
+
+    Column m is the coherent environment state the dilation attaches to
+    Fock level m. Row k is the diagonal of the Kraus operator
+    K_k = e^{-gamma (a^dag a)^2 / 2} (sqrt(gamma) a^dag a)^k / sqrt(k!).
+    Magnitudes are assembled in log space, with log k! from lgamma, so large
+    k and gamma m^2 neither overflow nor drift. One pass builds K = ceil(lam
+    + 10 sqrt(lam + 1) + 10) + 1 rows, lam = gamma N^2: the Poisson(gamma m^2)
+    tail past K is below 1e-21 for lam <= 1e6, so a column defect
+    |1 - sum_k <k|.>^2| above DEFAULT_RESIDUAL_BOUND is rounding that more
+    rows cannot remove, and raises TruncationError. Below it the Kraus sum is
+    trace preserving and the dilation isometric to that accuracy. The table
+    is built once per (gamma, N) and returned read-only; the defect is
+    checked against the bound on every call.
+    """
+    table, defect = _environment_table(params.gamma, n_max)
+    _check_defect(defect, table.shape[0], params.gamma * n_max ** 2)
     return table
 
 
 def kraus_apply(rho: FockDensityMatrix, params: DephasingParams) -> FockDensityMatrix:
-    """Truncated Kraus sum sum_k K_k rho K_k^dag over the rows of environment_amplitudes."""
+    """Truncated Kraus sum sum_k K_k rho K_k^dag over the rows of environment_amplitudes.
+
+    The operators are diagonal: the sum is rho times the table's Gram matrix k^T k.
+    """
     k = environment_amplitudes(params, rho.n_max)
-    return FockDensityMatrix(np.einsum("ja,ab,jb->ab", k, rho.entries, k.conj()))
+    return FockDensityMatrix((k.T @ k) * rho.entries)
 
 
 def master_equation_steps(t: float, dim: int) -> int:
@@ -248,28 +272,35 @@ def phase_rotate(rho: FockDensityMatrix, theta: float) -> FockDensityMatrix:
 # dilation and complementary channel
 
 def complementary_output(p, params: DephasingParams) -> FockDensityMatrix:
-    """Environment output sum_m p_m |-i sqrt(gamma) m><-i sqrt(gamma) m|.
+    """Environment output sum_m p_m |sqrt(gamma) m><sqrt(gamma) m|, real symmetric.
 
-    The columns of environment_amplitudes; up to the unitary e^{-i pi a^dag a / 2}
-    this is the mixture of |sqrt(gamma) m>, with the same spectrum.
+    The p-weighted mixture of the columns of environment_amplitudes.
     """
     w = np.asarray(getattr(p, "p", p), dtype=float)
     c = environment_amplitudes(params, w.size - 1)
-    omega = (c * w[None, :]) @ c.conj().T
-    omega = 0.5 * (omega + omega.conj().T)
-    return FockDensityMatrix(omega)
+    omega = (c * w[None, :]) @ c.T
+    return FockDensityMatrix(0.5 * (omega + omega.T))
 
 
 def dilation_oracle(rho: FockDensityMatrix, params: DephasingParams):
     """Both partial traces of V rho V^dag: (system output, environment output).
 
-    The dilation V|m> = |m> x |-i sqrt(gamma) m> reads the columns of
+    The dilation V|m> = |m> x |sqrt(gamma) m> reads the columns of
     environment_amplitudes. Tracing out the environment contracts over
     the table's rows, which is the Kraus sum kraus_apply; tracing out the
     system keeps only the populations rho[m, m], which weight the coherent
     states as in complementary_output.
     """
     return kraus_apply(rho, params), complementary_output(rho.diagonal(), params)
+
+
+@functools.lru_cache(maxsize=4)
+def _hermgauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Hermite nodes and weights, built once per node count."""
+    rule = np.polynomial.hermite.hermgauss(nodes)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
 def phase_average_oracle(
@@ -286,12 +317,13 @@ def phase_average_oracle(
         raise ValueError("nodes must be >= 1")
     if params.gamma == 0.0:
         return rho
-    x, wts = np.polynomial.hermite.hermgauss(nodes)
+    x, wts = _hermgauss(nodes)
     phi = x * math.sqrt(2.0 * params.gamma)
-    d = np.subtract.outer(np.arange(rho.dim), np.arange(rho.dim))
-    # the sine part integrates to zero by symmetry; keep the real kernel
-    factors = np.tensordot(wts / math.sqrt(math.pi), np.cos(np.multiply.outer(phi, d)), axes=1)
-    return FockDensityMatrix(factors * rho.entries)
+    # the sine part integrates to zero by symmetry, and the cosine kernel
+    # depends on |m - n| only: one value per distance
+    n = np.arange(rho.dim)
+    kernel = (wts / math.sqrt(math.pi)) @ np.cos(np.multiply.outer(phi, n))
+    return FockDensityMatrix(kernel[np.abs(np.subtract.outer(n, n))] * rho.entries)
 
 
 def coherent_information(rho: FockDensityMatrix, params: DephasingParams) -> float:

@@ -23,9 +23,9 @@ SUM_TOL = 1e-12
 EIG_CLAMP = -1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InputDistribution:
-    """Probability vector p_0..p_N over Fock states |0>..|N>."""
+    """Probability vector p_0..p_N over Fock states |0>..|N>; == is identity."""
 
     p: np.ndarray
 

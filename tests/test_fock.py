@@ -104,12 +104,29 @@ class TestDomainTypes:
         assert rho.entropy_bits() == pytest.approx(2.0, abs=1e-14)
         assert fock_state(2, 4).entropy_bits() == 0.0
 
+    def test_entries_dtype_follows_input(self):
+        assert FockDensityMatrix(np.eye(2) / 2).entries.dtype == np.float64
+        assert FockDensityMatrix(np.eye(2, dtype=complex) / 2).entries.dtype == np.complex128
+        assert FockDensityMatrix([[1]]).entries.dtype == np.float64
+        assert FockDensityMatrix([[0.5, 0.5j], [-0.5j, 0.5]]).entries.dtype == np.complex128
+        assert diagonal_state([0.25, 0.75]).entries.dtype == np.float64
+        assert random_density_matrix(3, np.random.default_rng(0)).entries.dtype == np.complex128
+
+    def test_equality_is_identity(self):
+        # a field-wise == would compare ndarrays and raise for any dim > 1
+        rng = np.random.default_rng(1)
+        a, b = random_density_matrix(3, rng), random_density_matrix(3, rng)
+        twin = FockDensityMatrix(a.entries)
+        assert a == a and not a == twin and a != b
+        assert len({a, twin}) == 2
+
     def test_coherent_vector_matches_definition(self):
-        # column m of the environment table is |-i sqrt(gamma) m>
+        # column m of the environment table is the real coherent state |sqrt(gamma) m>
         gamma = 0.7
         table = environment_amplitudes(DephasingParams(gamma), 3)
+        assert table.dtype == np.float64
         for m in range(4):
-            alpha = -1j * math.sqrt(gamma) * m
+            alpha = math.sqrt(gamma) * m
             direct = np.array(
                 [
                     math.exp(-gamma * m ** 2 / 2.0) * alpha ** k / math.sqrt(math.factorial(k))
@@ -189,7 +206,7 @@ class TestKraus:
             n_max += 1
 
     def test_magnitudes_match_mpmath_poisson(self):
-        # |<k|-i sqrt(gamma) m>| = sqrt(Poisson(k; gamma m^2)), in 30-digit arithmetic
+        # <k|sqrt(gamma) m> = sqrt(Poisson(k; gamma m^2)), in 30-digit arithmetic
         mpmath = pytest.importorskip("mpmath")
         gamma, n_max = 1.0, 32
         mag = np.abs(environment_amplitudes(DephasingParams(gamma), n_max))
@@ -204,15 +221,44 @@ class TestKraus:
 
     def test_rounding_failure_raises_at_once(self):
         # gamma N^2 = 6400 is past the table's rounding: it must raise after one
-        # pass, not grow toward a larger table first
+        # pass, not grow toward a larger table first, and a failed build is not
+        # cached, so every call raises
         tracemalloc.start()
         try:
-            with pytest.raises(TruncationError, match="residual"):
-                environment_amplitudes(DephasingParams(4.0), 40)
+            for _ in range(2):
+                with pytest.raises(TruncationError, match="residual"):
+                    environment_amplitudes(DephasingParams(4.0), 40)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64e6
+
+
+    def test_table_is_cached_read_only(self):
+        params = DephasingParams(0.9)
+        table = environment_amplitudes(params, 4)
+        assert environment_amplitudes(DephasingParams(0.9), 4) is table
+        with pytest.raises(ValueError):
+            table[0, 0] = 2.0
+
+    def test_cached_table_rechecks_bound(self, monkeypatch):
+        # the bound is read on every call, not only when the table is built
+        params = DephasingParams(2.0)
+        environment_amplitudes(params, 1)
+        monkeypatch.setattr(fock, "DEFAULT_RESIDUAL_BOUND", 1e-20)
+        with pytest.raises(TruncationError, match="residual"):
+            environment_amplitudes(params, 1)
+
+    @pytest.mark.parametrize("gamma", [0.25, 1.0, 2.0, 4.0])
+    def test_kraus_sum_matches_closed_form_real_and_complex(self, gamma):
+        rng = np.random.default_rng(22)
+        params = DephasingParams(gamma)
+        for dim in (2, 5, 8):
+            for rho in (random_density_matrix(dim, rng), diagonal_state(rng.dirichlet(np.ones(dim))),
+                        FockDensityMatrix(np.full((dim, dim), 1.0 / dim))):
+                out = kraus_apply(rho, params)
+                assert out.entries.dtype == rho.entries.dtype
+                assert np.abs(out.entries - closed_form(rho, gamma)).max() < 1e-12
 
 
 class TestMasterEquation:
@@ -336,6 +382,22 @@ class TestComplementaryOutput:
         assert np.abs(lam - expected).max() < 1e-12
 
 
+    @pytest.mark.parametrize("gamma", [0.25, 1.0, 2.0])
+    def test_spectrum_matches_phased_table(self, gamma):
+        # the phased table <k|-i sqrt(gamma) m> = (-i)^k <k|sqrt(gamma) m> differs
+        # by a diagonal unitary, so its complex Omega has the real one's spectrum
+        rng = np.random.default_rng(23)
+        params = DephasingParams(gamma)
+        for n_max in (1, 3, 5):
+            p = rng.dirichlet(np.ones(n_max + 1))
+            c = environment_amplitudes(params, n_max)
+            phased = c * ((-1j) ** np.arange(c.shape[0]))[:, None]
+            omega = (phased * p) @ phased.conj().T
+            out = complementary_output(p, params)
+            assert out.entries.dtype == np.float64
+            assert np.abs(out.spectrum - np.linalg.eigvalsh(omega)).max() < 1e-14
+
+
 class TestDilationOracle:
     def test_system_trace_matches_closed_form(self):
         rng = np.random.default_rng(12)
@@ -393,6 +455,17 @@ class TestPhaseAverageOracle:
         for nodes in (1, 3, 16):
             out = phase_average_oracle(rho, DephasingParams(0.7), nodes)
             assert np.abs(out.entries - rho.entries).max() < 1e-15
+
+    @pytest.mark.parametrize("nodes", [1, 3, 16, 96])
+    def test_distance_kernel_matches_node_sum(self, nodes):
+        # reference: the (nodes, dim, dim) cosine tensor summed over the nodes
+        rho = random_density_matrix(6, np.random.default_rng(24))
+        x, wts = np.polynomial.hermite.hermgauss(nodes)
+        phi = x * math.sqrt(2.0 * 1.3)
+        d = np.subtract.outer(np.arange(6), np.arange(6))
+        factors = np.tensordot(wts / math.sqrt(math.pi), np.cos(np.multiply.outer(phi, d)), axes=1)
+        out = phase_average_oracle(rho, DephasingParams(1.3), nodes)
+        assert np.abs(out.entries - factors * rho.entries).max() < 1e-15
 
     def test_gamma_zero_short_circuits(self):
         rng = np.random.default_rng(17)

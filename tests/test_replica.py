@@ -61,6 +61,11 @@ class TestInputDistribution:
         p = InputDistribution(np.full(4, 0.25))
         assert p.p == pytest.approx(0.25)
 
+    def test_equality_is_identity(self):
+        # a field-wise == would compare ndarrays and raise for any dim > 1
+        a, b = InputDistribution([0.5, 0.5]), InputDistribution([0.5, 0.5])
+        assert a == a and not a == b and a != b
+
 
 class TestGramOverlap:
     def test_unit_diagonal(self):
@@ -71,7 +76,7 @@ class TestGramOverlap:
         assert g[0, 1] == g[1, 0]
 
     def test_value_and_truncated_inner_product(self):
-        # e^{-2} against the overlap <0|-2i> of the environment table's columns
+        # e^{-2} against the overlap <0|2> of the environment table's columns
         params = DephasingParams(1.0)
         value = gram_matrix(params, [2, 0])[0, 1]
         assert value == pytest.approx(math.exp(-2.0), abs=1e-15)
