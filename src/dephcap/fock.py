@@ -137,6 +137,32 @@ def shannon_bits(values) -> float:
     return float(-(x * np.log(x)).sum() / _LN2)
 
 
+# phi(1 + u) = u^2 sum_k (-u)^k / ((k+1)(k+2)) is summed for |u| below
+# _PHI_SERIES_U; 16 terms reach relative 1e-18 there.
+_PHI_SERIES_U = 0.1
+_PHI_SERIES = 1.0 / ((np.arange(16.0) + 1.0) * (np.arange(16.0) + 2.0))
+
+
+def phi1p(u) -> np.ndarray:
+    """phi(1 + u) = (1 + u) ln(1 + u) - u elementwise for u >= -1, phi(x) = x ln x - x + 1.
+
+    phi >= 0, with phi(1 + u) = 1 at u = -1. Near u = 0, where the two
+    terms cancel, the power series is summed instead, so an exact u keeps
+    its relative accuracy.
+    """
+    u = np.asarray(u, dtype=float)
+    out = np.log1p(u, out=np.zeros_like(u), where=u > -1.0)
+    out *= 1.0 + u
+    out -= u
+    near = np.abs(u) < _PHI_SERIES_U
+    un = u[near]
+    series = np.zeros_like(un)
+    for coeff in _PHI_SERIES[::-1]:
+        series = coeff - un * series
+    out[near] = un * un * series
+    return out
+
+
 # ---------------------------------------------------------------------------
 # channel representations
 

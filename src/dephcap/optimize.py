@@ -89,49 +89,18 @@ class TwoPointBound:
 def two_point_lower_bound(params: DephasingParams, j: int) -> TwoPointBound:
     """Lower bound 1 - H2((1 +- e)/2), e = e^{-gamma j^2/2}; independent of the base level.
 
-    In nats the bound is ((1+e) ln(1+e) + (1-e) ln(1-e)) / 2, which cancels
-    as e -> 0; for e <= 1/2 it is summed as the positive series
-    sum_{k>=1} e^{2k} / (k (2k-1)) / 2 instead.
+    In nats the bound is (phi(1 + e) + phi(1 - e)) / 2, two terms of the
+    kernel fock.phi1p, which keeps its relative accuracy as e -> 0.
     """
     if j < 1:
         raise ValueError("j must be >= 1")
-    x = params.gamma * j ** 2 / 2.0
-    e = math.exp(-x)
-    if e <= 0.5:  # 24 terms reach relative 1e-17 at e = 1/2
-        total = sum(e ** (2 * k) / (k * (2 * k - 1)) for k in range(1, 25))
-    else:
-        one_minus_e = -math.expm1(-x)
-        total = (1.0 + e) * math.log1p(e) + one_minus_e * math.log(one_minus_e or 1.0)
-    value = total / (2.0 * _LN2)
+    e = math.exp(-params.gamma * j ** 2 / 2.0)
+    value = float(fock.phi1p(np.array([e, -e])).sum()) / (2.0 * _LN2)
     return TwoPointBound(params.gamma, j, (1.0 + e) / 2.0, (1.0 - e) / 2.0, value)
 
 
 # ---------------------------------------------------------------------------
 # objective, gradient and Hessian
-
-# phi(1 + u) = u^2 sum_k (-u)^k / ((k+1)(k+2)) is summed for |u| below
-# _PHI_SERIES_U; 16 terms reach relative 1e-18 there.
-_PHI_SERIES_U = 0.1
-_PHI_SERIES = 1.0 / ((np.arange(16.0) + 1.0) * (np.arange(16.0) + 2.0))
-
-
-def _phi(a, weights):
-    """phi(a_l / p_m) with phi(x) = x ln x - x + 1 >= 0, as an array with rows m.
-
-    Near x = 1, where x ln x and x - 1 cancel, the power series in
-    u = (a_l - p_m) / p_m is summed instead.
-    """
-    x = a[None, :] / weights[:, None]
-    u = (a[None, :] - weights[:, None]) / weights[:, None]
-    out = x * np.log(x, out=np.zeros_like(x), where=x > 0.0) - u
-    near = np.abs(u) < _PHI_SERIES_U
-    un = u[near]
-    series = np.zeros_like(un)
-    for coeff in _PHI_SERIES[::-1]:
-        series = coeff - un * series
-    out[near] = un * un * series
-    return out
-
 
 def _objective_and_gradient(weights, gamma, levels=None):
     """(J, unprojected dJ/dp, a, V) in nats, from one eigendecomposition.
@@ -139,9 +108,10 @@ def _objective_and_gradient(weights, gamma, levels=None):
     The weights sit on the Fock levels given, 0..N by default. With
     M = D^{1/2} G D^{1/2} = V diag(a) V^T, M_mm = p_m and V orthogonal
     give dJ/dp_m = sum_l V_ml^2 phi(a_l / p_m) and J = p.grad J, for any
-    positive weights. Every term is nonnegative, so nothing cancels where J
-    is far below 1. Rounding eigenvalues below 0 are set to 0. A zero weight
-    makes J nan, which the ascent rejects.
+    positive weights, with phi(1 + u) = fock.phi1p(u) taken at the ratio
+    u = (a_l - p_m) / p_m. Every term is nonnegative, so nothing cancels
+    where J is far below 1. Rounding eigenvalues below 0 are set to 0. A
+    zero weight makes J nan, which the ascent rejects.
     """
     if levels is None:
         levels = np.arange(weights.size)
@@ -149,7 +119,8 @@ def _objective_and_gradient(weights, gamma, levels=None):
     sq = np.sqrt(weights)
     a, v = np.linalg.eigh(sq[:, None] * g_kernel * sq[None, :])
     a = np.maximum(a, 0.0)
-    grad = (v * v * _phi(a, weights)).sum(axis=1)
+    u = (a[None, :] - weights[:, None]) / weights[:, None]
+    grad = (v * v * fock.phi1p(u)).sum(axis=1)
     return float(weights @ grad), grad, a, v
 
 
@@ -159,8 +130,8 @@ def coherent_information_diagonal(p: InputDistribution, params: DephasingParams)
     Diagonal inputs are channel fixed points, so the channel-output entropy
     is the Shannon entropy of p. J is evaluated by the cancellation-free
     kernel on the levels whose weight is above 1e-300, at their own Fock
-    indices: below 4e-306, phi(a / p) overflows, and together the dropped
-    levels add less than 1e-290 to J.
+    indices: below 4e-306, phi1p(u) at u = (a - p) / p overflows, and
+    together the dropped levels add less than 1e-290 to J.
     """
     levels = np.flatnonzero(p.p > 1e-300)
     return _objective_and_gradient(p.p[levels], params.gamma, levels)[0] / _LN2
@@ -294,7 +265,7 @@ def _newton_ascent(w: np.ndarray, gamma: float):
 
     The loop stops once the gap max_m dJ/dp_m - p.grad J is at most
     GAP_RTOL * J, after MAX_NEWTON_STEPS steps (a safety stop: no point
-    with N <= 128 and gamma <= 40 has taken more than 14), when d is not
+    with N <= 128 and gamma <= 40 has taken more than 27), when d is not
     an ascent direction (the Hessian is lost to rounding), or when no step
     that still changes p increases J.
     """

@@ -136,6 +136,23 @@ class TestDomainTypes:
             assert np.abs(table[:, m] - direct).max() < 1e-14, m
 
 
+class TestPhi1p:
+    # both sides of the series switch at |u| = 0.1, the endpoints, and
+    # points where (1 + u) ln(1 + u) and u cancel to all but a few digits
+    POINTS = [-1.0, -1.0 + 1e-12, -0.5, 0.0999, -0.0999, 0.1, -0.1, 0.1001, -0.1001,
+              1e-8, -1e-8, 1e-300, -1e-300, 1.0, 10.0, 1e6]
+
+    def test_matches_high_precision(self):
+        mpmath = pytest.importorskip("mpmath")
+        values = fock.phi1p(np.array(self.POINTS))
+        with mpmath.workdps(80):
+            for u, value in zip(self.POINTS, values):
+                x = 1 + mpmath.mpf(u)
+                exact = float(x * mpmath.log(x) - x + 1 if x > 0 else mpmath.mpf(1))
+                # phi(1 +- 1e-300) = 5e-601 rounds to 0.0 in double
+                assert abs(value - exact) <= 1e-14 * exact, u
+
+
 class TestApplyDephasing:
     def test_gamma_zero_is_identity(self):
         rng = np.random.default_rng(0)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dephcap import fock
 from dephcap.fock import DephasingParams, shannon_bits
 from dephcap.optimize import (
     _ansatz_weights,
@@ -70,15 +71,14 @@ def q_inf_bits(gamma):
     """D(p_gamma || uniform) in bits for gamma >= 16, p_gamma the wrapped normal.
 
     With 2 pi p_gamma = 1 + x, x = 2 sum_n e^{-gamma n^2 / 2} cos(n phi), the
-    mean over phi of (1 + x) ln(1 + x) - x. |x| < 7e-4, so four terms of its
-    series x^2/2 - x^3/6 + ... reach relative 1e-14, and the 64-node
-    trapezoid rule is exact for the resulting trigonometric polynomial.
+    mean over phi of (1 + x) ln(1 + x) - x = fock.phi1p(x). |x| < 7e-4, so
+    the 64-node trapezoid rule integrates it to rounding.
     """
     assert gamma >= 16.0
     n = np.arange(1, 9)
     phi = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     x = 2.0 * np.exp(-gamma * n ** 2 / 2.0) @ np.cos(np.outer(n, phi))
-    return float(np.mean(x ** 2 / 2 - x ** 3 / 6 + x ** 4 / 12 - x ** 5 / 20)) / LN2
+    return float(np.mean(fock.phi1p(x))) / LN2
 
 
 class TestTwoPointBound:
@@ -150,6 +150,13 @@ class TestObjectiveGradient:
         p = InputDistribution(np.array([5e-7, 0.5, 0.5 - 5e-7]))
         with pytest.raises(ValueError, match="finite-difference"):
             _fd_gradient(p.p, 1.0)
+
+    @pytest.mark.parametrize("weights", [[0.0, 1.0], [0.5, 0.0, 0.5], [0.3, 0.3, 0.4, 0.0]])
+    def test_zero_weight_makes_value_nan(self, weights):
+        # the ascent's backtracking rejects a trial step whose J is nan
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = _objective_and_gradient(np.array(weights), 1.0)[0]
+        assert math.isnan(value)
 
     def test_gradient_sums_to_zero(self):
         rng = np.random.default_rng(8)

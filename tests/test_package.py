@@ -1,11 +1,26 @@
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 import dephcap
 from dephcap import validate
 
-WORKER = Path(__file__).resolve().parent.parent / "bench" / "worker.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_bench(name):
+    """A module of the benchmark, loaded from its file without putting bench/ on the path.
+
+    It is registered as bench_<name>, which its dataclasses need to resolve
+    their own module.
+    """
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_all_names_resolve_once():
@@ -24,9 +39,7 @@ def test_removed_names_stay_removed():
 
 def test_bench_tracer_targets_resolve():
     # the benchmark worker wraps these attributes by name; a rename must fail here
-    spec = importlib.util.spec_from_file_location("bench_worker", WORKER)
-    worker = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(worker)
+    worker = load_bench("worker")
     missing = [
         f"{module}.{attr}"
         for module, attr, _ in worker.WRAPPED
@@ -37,3 +50,12 @@ def test_bench_tracer_targets_resolve():
     with worker.Tracer().installed():
         assert len(validate._SUITES) == len(suites)
     assert validate._SUITES == suites
+
+
+def test_bench_suite_names_match_reference():
+    # the benchmark checks each validate suite against its own copy of the
+    # tolerance, by name; a suite renamed, added or removed must fail here
+    pytest.importorskip("mpmath")
+    reference = load_bench("reference")
+    names = [suite.name for suite in validate.run_validation("quick")]
+    assert names == list(reference.SUITE_TOLERANCES)
