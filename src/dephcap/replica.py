@@ -4,9 +4,11 @@ The environment output for a diagonal input with weights p is the
 coherent-state mixture Omega = sum_m p_m |sqrt(gamma) m><sqrt(gamma) m|.
 Its nonzero spectrum equals that of the (N+1)x(N+1) matrix
 A[i, j] = e^{-gamma (i-j)^2 / 2} p_j, so the entropy never requires the
-large environment space. A brute-force construction of Omega from the
-environment table fock.environment_amplitudes serves as the independent
-oracle. The coherent information J itself is evaluated in optimize; the
+large environment space. The independent oracle reads Omega's spectrum
+from the environment table fock.environment_amplitudes itself, without
+gram_matrix: the squared singular values of the K x (N+1) matrix
+C diag(sqrt p), so no K x K matrix is built. The coherent information J
+itself is evaluated in optimize; the
 textbook H(p) - S(A) here is kept only as an independent reference for it.
 """
 
@@ -92,14 +94,16 @@ def entropy_replica(p: InputDistribution, params: DephasingParams) -> float:
 
 
 def entropy_bruteforce_oracle(p: InputDistribution, params: DephasingParams) -> float:
-    """Entropy of Omega built explicitly on the truncated environment.
+    """Entropy of Omega = C diag(p) C^T on the truncated environment, in bits.
 
-    Omega is fock.complementary_output, the p-weighted mixture of the
-    columns of fock.environment_amplitudes, whose every coherent state
-    misses at most fock.DEFAULT_RESIDUAL_BOUND of its mass; it is
-    diagonalized once, at full environment size, independent of gram_matrix.
+    C is fock.environment_amplitudes, whose every coherent state misses at
+    most fock.DEFAULT_RESIDUAL_BOUND of its mass. Omega's nonzero spectrum
+    is the squared singular values of C diag(sqrt p), taken by one thin SVD
+    in O(K N^2), independent of gram_matrix.
     """
-    return fock.complementary_output(p, params).entropy_bits()
+    c = fock.environment_amplitudes(params, p.dim - 1)
+    s = np.linalg.svd(c * np.sqrt(p.p)[None, :], compute_uv=False)
+    return max(fock.shannon_bits(s * s), 0.0)
 
 
 def shannon_entropy(p: InputDistribution) -> float:

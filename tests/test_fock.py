@@ -206,12 +206,12 @@ class TestKraus:
             assert tail <= 1e-12, m
 
     def test_explicit_truncation_too_small_raises(self, monkeypatch):
-        # at gamma 2 the rounded completeness sum of column 1 stays 2e-16 from 1,
+        # at gamma 1, N 32 the rounded completeness sums stay up to 9e-16 from 1,
         # so a 1e-20 bound is never met: the table must refuse rather than
         # return a short Kraus sum
         monkeypatch.setattr(fock, "DEFAULT_RESIDUAL_BOUND", 1e-20)
         with pytest.raises(TruncationError, match="residual"):
-            environment_amplitudes(DephasingParams(2.0), 1)
+            environment_amplitudes(DephasingParams(1.0), 32)
 
     @pytest.mark.parametrize("gamma", [0.25, 1.0, 2.0, 4.0])
     def test_one_pass_row_count(self, gamma):
@@ -236,10 +236,12 @@ class TestKraus:
                     worst = max(worst, float(abs(mag[k, m] / exact - 1)))
         assert worst <= 5e-12
 
-    def test_rounding_failure_raises_at_once(self):
-        # gamma N^2 = 6400 is past the table's rounding: it must raise after one
-        # pass, not grow toward a larger table first, and a failed build is not
-        # cached, so every call raises
+    def test_rounding_failure_raises_at_once(self, monkeypatch):
+        # a 1e-20 bound is past the rounding of the gamma N^2 = 6400 table: it
+        # must raise after one pass, not grow toward a larger table first, and a
+        # failed build is not cached, so every call builds and raises
+        monkeypatch.setattr(fock, "DEFAULT_RESIDUAL_BOUND", 1e-20)
+        fock._environment_table.cache_clear()
         tracemalloc.start()
         try:
             for _ in range(2):
@@ -248,8 +250,50 @@ class TestKraus:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        info = fock._environment_table.cache_info()
+        assert (info.misses, info.currsize) == (2, 0)
         assert peak < 64e6
 
+    @pytest.mark.parametrize("gamma, n_max", [(1.0, 32), (1.0, 64), (1.0, 128), (4.0, 40)])
+    def test_saddle_point_table_complete_to_rounding(self, gamma, n_max):
+        # every column's completeness sum, read off the returned table
+        table = environment_amplitudes(DephasingParams(gamma), n_max)
+        assert np.abs(1.0 - (table ** 2).sum(axis=0)).max() <= 1e-14
+
+    def test_stirling_delta_matches_mpmath(self):
+        # delta(k) = ln k! - (k + 1/2) ln k + k - ln(2 pi)/2 on both sides of
+        # the lgamma / series switch at 15 | 16, and far into the series
+        mpmath = pytest.importorskip("mpmath")
+        ks = [1, 2, 14, 15, 16, 17, 1000, 10000]
+        got = fock._stirling_delta(np.array(ks))
+        with mpmath.workdps(40):
+            for k, value in zip(ks, got):
+                exact = mpmath.loggamma(k + 1) - (k + mpmath.mpf(0.5)) * mpmath.log(k) + k \
+                    - mpmath.log(2 * mpmath.pi) / 2
+                assert abs(value - exact) <= 1e-14, k
+                if k >= 16:
+                    assert abs(value / exact - 1) <= 1e-13, k
+
+    def test_matches_lgamma_table(self):
+        # the table of the direct form -lam + k ln lam - ln k!, which holds
+        # its 1e-12 bound up to gamma N^2 of about 2,000
+        gamma, n_max = 1.0, 32
+        table = environment_amplitudes(DephasingParams(gamma), n_max)
+        m = np.arange(n_max + 1, dtype=float)
+        k = np.arange(table.shape[0])
+        log_fact = np.array([math.lgamma(j + 1.0) for j in k])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_amp = np.where(m > 0.0, np.log(np.sqrt(gamma) * m), -np.inf)
+            log_mag = -gamma * m[None, :] ** 2 / 2.0 + k[:, None] * log_amp[None, :] \
+                - 0.5 * log_fact[:, None]
+        log_mag[0, :] = -gamma * m ** 2 / 2.0
+        assert np.abs(table - np.exp(log_mag)).max() <= 1e-13
+
+    def test_nan_table_raises(self):
+        # at a subnormal gamma k / lam overflows and phi1p returns nan; the
+        # defect check must refuse that table, not pass the nan through
+        with np.errstate(all="ignore"), pytest.raises(TruncationError, match="nan"):
+            environment_amplitudes(DephasingParams(1e-320), 1)
 
     def test_table_is_cached_read_only(self):
         params = DephasingParams(0.9)
@@ -260,11 +304,11 @@ class TestKraus:
 
     def test_cached_table_rechecks_bound(self, monkeypatch):
         # the bound is read on every call, not only when the table is built
-        params = DephasingParams(2.0)
-        environment_amplitudes(params, 1)
+        params = DephasingParams(1.0)
+        environment_amplitudes(params, 32)
         monkeypatch.setattr(fock, "DEFAULT_RESIDUAL_BOUND", 1e-20)
         with pytest.raises(TruncationError, match="residual"):
-            environment_amplitudes(params, 1)
+            environment_amplitudes(params, 32)
 
     @pytest.mark.parametrize("gamma", [0.25, 1.0, 2.0, 4.0])
     def test_kraus_sum_matches_closed_form_real_and_complex(self, gamma):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dephcap import fock
 from dephcap.fock import DephasingParams, environment_amplitudes
 from dephcap.optimize import (
     coherent_information_diagonal,
@@ -202,28 +203,46 @@ class TestBruteForceOracle:
             lam = np.sort(np.linalg.eigvalsh(omega.entries))[-(n_max + 1):]
             assert np.abs(a - lam).max() < 1e-8
 
-    @pytest.mark.parametrize("n_max, gamma", [(32, 1.0), (24, 2.0), (16, 4.0)])
+    @pytest.mark.parametrize(
+        "n_max, gamma", [(32, 1.0), (24, 2.0), (16, 4.0), (64, 1.0), (128, 1.0)]
+    )
     def test_anchors_solver_at_benchmark_size(self, n_max, gamma):
-        # the solver's J against H(p) - S(Omega) with Omega diagonalized on
-        # the full environment table, at the optimum it certifies
+        # the solver's J against H(p) - S(Omega) with Omega's spectrum taken
+        # from the full environment table, at the optimum it certifies
         params = DephasingParams(gamma)
         res = maximize_coherent_information(n_max, params)
         slow = shannon_entropy(res.p_opt) - entropy_bruteforce_oracle(res.p_opt, params)
         assert abs(res.q_bits - slow) <= 1e-9
 
+    @pytest.mark.parametrize("gamma", [0.25, 1.0, 4.0])
+    def test_svd_matches_full_environment_state(self, gamma):
+        # the thin SVD against the K x K Omega of complementary_output
+        rng = np.random.default_rng(int(100 * gamma))
+        params = DephasingParams(gamma)
+        for n_max in range(1, 9):
+            p = random_distribution(rng, n_max + 1)
+            full = fock.complementary_output(p, params).entropy_bits()
+            assert entropy_bruteforce_oracle(p, params) == pytest.approx(full, abs=1e-13)
+
     def test_one_diagonalization(self, monkeypatch):
-        # Omega's constructor diagonalizes it once; the entropy reads that spectrum
+        # the entropy is one thin SVD of C diag(sqrt p); no K x K Omega is diagonalized
         p = InputDistribution(np.array([0.2, 0.3, 0.5]))
+        params = DephasingParams(1.0)
         calls = []
-        eigvalsh = np.linalg.eigvalsh
 
-        def counted(matrix):
-            calls.append(matrix.shape)
-            return eigvalsh(matrix)
+        def counting(name):
+            original = getattr(np.linalg, name)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        entropy_bruteforce_oracle(p, DephasingParams(1.0))
-        assert len(calls) == 1
+            def counted(matrix, *args, **kwargs):
+                calls.append((name, matrix.shape))
+                return original(matrix, *args, **kwargs)
+
+            return counted
+
+        for name in ("eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        entropy_bruteforce_oracle(p, params)
+        assert calls == [("svd", environment_amplitudes(params, 2).shape)]
 
 
 class TestShannonEntropy:
