@@ -4,25 +4,25 @@ The channel multiplies the Fock-basis matrix element rho[m, n] by
 exp(-gamma (m-n)^2 / 2): populations are untouched, coherences decay.
 Besides that closed form, this module carries every equivalent
 representation used for cross-validation: a truncated Kraus sum, the
-RK4 propagator of the dephasing master equation, the
-complementary channel onto coherent environment states, and a
-Gauss-Hermite phase-randomization integral. The Kraus sum and the
-complementary channel read one environment table, environment_amplitudes:
+RK4 propagator of the dephasing master equation (its step count derived
+from gamma and the dimension), the complementary channel onto coherent
+environment states, and a Gauss-Hermite phase-randomization integral.
+The closed form, the Kraus sum and the master equation all take
+(rho, params); the quadrature also takes its node count. The Kraus sum
+and the complementary channel read one environment table, environment_amplitudes:
 the Kraus operators are its rows, the coherent states of the dilation
 V|m> = |m> x |sqrt(gamma) m> its columns. Both partial traces of
 V rho V^dag are contractions of that table; the joint state is never built.
 The real table is built in one pass from the saddle-point form of the
-Poisson weight, cached per (gamma, N) and read-only; its completeness
-defect stays near 1e-15 at N 128, gamma 1, so its memory, K (N+1) 8 bytes,
-not rounding, sets its reach.
+Poisson weight in row blocks, cached per (gamma, N) and read-only; its
+completeness defect stays near 1e-15 at N 128, gamma 1, so its memory,
+K (N+1) 8 bytes, not rounding, sets its reach.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,9 +33,6 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 DEFAULT_RESIDUAL_BOUND = 1e-12
-
-# Real-axis stability limit of the classical RK4 scheme.
-RK4_STABILITY_LIMIT = 2.785
 
 
 class TruncationError(ValueError):
@@ -115,8 +112,7 @@ class FockDensityMatrix:
 
 def diagonal_state(weights) -> FockDensityMatrix:
     """Mixture of Fock states with the given probability weights."""
-    w = np.asarray(getattr(weights, "p", weights), dtype=float)
-    return FockDensityMatrix(np.diag(w))
+    return FockDensityMatrix(np.diag(np.asarray(weights, dtype=float)))
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> FockDensityMatrix:
@@ -202,6 +198,11 @@ def _stirling_delta(k) -> np.ndarray:
     return out
 
 
+# Rows of the environment table per build block: phi1p's temporaries stay
+# near 1 MB at N 128 however many rows the table has.
+_TABLE_BLOCK = 1024
+
+
 # A full validation pass touches 18 (gamma, N) keys, so 7 small tables are
 # rebuilt per pass, at about 0.1 ms each; 16 entries bound what a
 # long-lived process keeps.
@@ -214,15 +215,21 @@ def _environment_table(gamma: float, n_max: int) -> tuple[np.ndarray, float]:
     cols = lam_m > 0.0
     lam_c = lam_m[cols]
     k = np.arange(1.0, j_max + 1.0)
+    log_k = 0.5 * np.log(2.0 * math.pi * k) + _stirling_delta(k)
     # 2 log <k|sqrt(lam)> = log Poisson(k; lam): -lam at k = 0, the saddle-point
     # form -lam phi(k / lam) - ln(2 pi k)/2 - delta(k) for k >= 1; a column
-    # with lam = 0 is the vacuum
-    log_mag = np.full((j_max + 1, n_max + 1), -np.inf)
-    log_mag[0] = -lam_m / 2.0
-    log_mag[1:, cols] = -0.5 * (lam_c * phi1p((k[:, None] - lam_c) / lam_c)
-                                + (0.5 * np.log(2.0 * math.pi * k) + _stirling_delta(k))[:, None])
-    table = np.exp(log_mag)
-    defect = float(np.abs(1.0 - (table ** 2).sum(axis=0)).max())
+    # with lam = 0 is the vacuum. Written in row blocks and exponentiated in
+    # place, the build peaks near the table's own size.
+    table = np.empty((j_max + 1, n_max + 1))
+    table[0] = -lam_m / 2.0
+    body = table[1:]
+    body[:, ~cols] = -np.inf
+    for lo in range(0, j_max, _TABLE_BLOCK):
+        rows = slice(lo, lo + _TABLE_BLOCK)
+        body[rows, cols] = -0.5 * (lam_c * phi1p((k[rows, None] - lam_c) / lam_c)
+                                   + log_k[rows, None])
+    np.exp(table, out=table)
+    defect = float(np.abs(1.0 - np.einsum("km,km->m", table, table)).max())
     _check_defect(defect, j_max + 1, lam)
     table.setflags(write=False)
     return table, defect
@@ -254,7 +261,8 @@ def environment_amplitudes(params: DephasingParams, n_max: int) -> np.ndarray:
     defect is 2.7e-15 at N 128, gamma 1. The table is built once per
     (gamma, N) and returned read-only; the defect is checked against the
     bound on every call. A table takes K (N+1) 8 bytes: 18 MB at N 128,
-    gamma 1, about 8.7 GB at N 1024; at most 16 tables are cached.
+    gamma 1, about 8.7 GB at N 1024; its build peaks at about 1.2 times that
+    (about 10.5 GB at N 1024), and at most 16 tables are cached.
     """
     table, defect = _environment_table(params.gamma, n_max)
     _check_defect(defect, table.shape[0], params.gamma * n_max ** 2)
@@ -270,51 +278,39 @@ def kraus_apply(rho: FockDensityMatrix, params: DephasingParams) -> FockDensityM
     return FockDensityMatrix((k.T @ k) * rho.entries)
 
 
-def master_equation_steps(t: float, dim: int) -> int:
-    """Step count for evolve_master_equation targeting global error ~1e-10.
+def _rk4_steps(gamma: float, dim: int) -> int:
+    """RK4 step count of evolve_master_equation, targeting global error ~1e-10.
 
     Conservative count from the RK4 local error model (h L)^5/120 per step
     with L = (dim-1)^2/2 the stiffest decay rate of the truncated generator.
+    The step stays inside RK4's real-axis stability interval, h L <= 2.785:
+    the error model gives h L = (1.2e-8 / (gamma L))^(1/4), at most 2.785
+    from gamma L = 2e-10 on, and below that the 20-step floor keeps h L
+    under 1e-11.
     """
     lam = (dim - 1) ** 2 / 2.0
-    if t <= 0.0 or lam == 0.0:
+    if gamma == 0.0 or lam == 0.0:
         return 1
-    h = (120.0 * 1e-10 / (t * lam ** 5)) ** 0.25
-    h = min(h, RK4_STABILITY_LIMIT / lam)
-    return max(int(math.ceil(t / h)), 20)
+    h = (120.0 * 1e-10 / (gamma * lam ** 5)) ** 0.25
+    return max(int(math.ceil(gamma / h)), 20)
 
 
-def evolve_master_equation(rho: FockDensityMatrix, t: float, steps: int) -> FockDensityMatrix:
-    """Propagate the dephasing master equation by `steps` classical RK4 steps.
+def evolve_master_equation(rho: FockDensityMatrix, params: DephasingParams) -> FockDensityMatrix:
+    """Propagate the dephasing master equation to time gamma by classical RK4 steps.
 
     Generator: D[n]rho = n rho n - (n^2 rho + rho n^2)/2 with n = a^dag a,
-    normalized so that evolving for time t reproduces the closed form at
-    rate gamma = t. It acts elementwise, so an RK4 step multiplies every
-    entry by the stability polynomial R(h gen), and `steps` steps by its
+    normalized so that evolving for time gamma reproduces the closed form at
+    rate gamma. It acts elementwise, so an RK4 step multiplies every
+    entry by the stability polynomial R(h gen), and the steps together by its
     power: the same integration (generator, step size, order-4 error,
     stability region) with no loop and no exp, independent of the closed
-    form. Warns with the estimated local error when the step size exceeds
-    the RK4 stability limit for the stiffest mode.
+    form. The step count comes from gamma and the dimension (_rk4_steps),
+    inside the stability interval of the stiffest mode.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if operator.index(steps) < 1:  # a float steps raises: no fractional power
-        raise ValueError("steps must be >= 1")
     dim = rho.dim
+    steps = _rk4_steps(params.gamma, dim)
     # elementwise action of the generator: -(j-k)^2 / 2 * rho[j, k]
-    gen = -0.5 * _diff_sq(dim)
-    h = t / steps
-    lam_max = (dim - 1) ** 2 / 2.0
-    if h * lam_max > RK4_STABILITY_LIMIT:
-        est = (h * lam_max) ** 5 / 120.0
-        warnings.warn(
-            f"step size too coarse for RK4 stability (h*L = {h * lam_max:.3g} > "
-            f"{RK4_STABILITY_LIMIT}); estimated local error per step {est:.3e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
-    z = h * gen
+    z = (params.gamma / steps) * (-0.5 * _diff_sq(dim))
     # R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 in Horner form
     r = 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
     return FockDensityMatrix(r ** steps * rho.entries)
@@ -334,7 +330,7 @@ def complementary_output(p, params: DephasingParams) -> FockDensityMatrix:
 
     The p-weighted mixture of the columns of environment_amplitudes.
     """
-    w = np.asarray(getattr(p, "p", p), dtype=float)
+    w = np.asarray(p, dtype=float)
     c = environment_amplitudes(params, w.size - 1)
     omega = (c * w[None, :]) @ c.T
     return FockDensityMatrix(0.5 * (omega + omega.T))
@@ -370,6 +366,12 @@ def phase_average_oracle(
     whose variance is gamma, which reproduces the closed-form decay
     e^{-gamma (m-n)^2 / 2} as the node count grows. gamma = 0 returns rho
     unchanged (the density degenerates to a point mass at phi = 0).
+
+    The caller picks nodes: no short rule gives the count. Reaching 1e-12 on
+    the distance kernel takes 33 nodes at gamma 1, N 5; 47 at gamma 2, N 5;
+    111 at gamma 8, N 5; and 314 at gamma 50, N 4. With gamma N^2 >= 1024 no
+    count up to 400 reached it, and numpy's hermgauss overflows there. The
+    validation suite's 96 nodes cover its grid, gamma <= 2 and N <= 5.
     """
     if nodes < 1:
         raise ValueError("nodes must be >= 1")

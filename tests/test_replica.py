@@ -199,7 +199,7 @@ class TestBruteForceOracle:
             a = np.sort(np.linalg.eigvals(replica_matrix(p, params)).real)
             from dephcap.fock import complementary_output
 
-            omega = complementary_output(p, params)
+            omega = complementary_output(p.p, params)
             lam = np.sort(np.linalg.eigvalsh(omega.entries))[-(n_max + 1):]
             assert np.abs(a - lam).max() < 1e-8
 
@@ -221,7 +221,7 @@ class TestBruteForceOracle:
         params = DephasingParams(gamma)
         for n_max in range(1, 9):
             p = random_distribution(rng, n_max + 1)
-            full = fock.complementary_output(p, params).entropy_bits()
+            full = fock.complementary_output(p.p, params).entropy_bits()
             assert entropy_bruteforce_oracle(p, params) == pytest.approx(full, abs=1e-13)
 
     def test_one_diagonalization(self, monkeypatch):
