@@ -6,9 +6,10 @@ Besides that closed form, this module carries every equivalent
 representation used for cross-validation: a truncated Kraus sum, the
 RK4 propagator of the dephasing master equation (its step count derived
 from gamma and the dimension), the complementary channel onto coherent
-environment states, and a Gauss-Hermite phase-randomization integral.
-The closed form, the Kraus sum and the master equation all take
-(rho, params); the quadrature also takes its node count. The Kraus sum
+environment states, and a periodic trapezoid rule for the
+phase-randomization integral (its node count derived from gamma and the
+dimension). The closed form, the Kraus sum, the master equation, the
+dilation and the quadrature all take (rho, params). The Kraus sum
 and the complementary channel read one environment table, environment_amplitudes:
 the Kraus operators are its rows, the coherent states of the dilation
 V|m> = |m> x |sqrt(gamma) m> its columns. Both partial traces of
@@ -207,8 +208,8 @@ _TABLE_BLOCK = 1024
 # rebuilt per pass, at about 0.1 ms each; 16 entries bound what a
 # long-lived process keeps.
 @functools.lru_cache(maxsize=16)
-def _environment_table(gamma: float, n_max: int) -> tuple[np.ndarray, float]:
-    """(read-only table, column defect); a build that fails the bound raises, uncached."""
+def _environment_table(gamma: float, n_max: int) -> np.ndarray:
+    """The read-only table; a build whose defect fails the bound raises, uncached."""
     lam = gamma * n_max ** 2
     j_max = int(math.ceil(lam + 10.0 * math.sqrt(lam + 1.0) + 10.0))
     lam_m = gamma * np.arange(n_max + 1, dtype=float) ** 2
@@ -230,15 +231,11 @@ def _environment_table(gamma: float, n_max: int) -> tuple[np.ndarray, float]:
                                    + log_k[rows, None])
     np.exp(table, out=table)
     defect = float(np.abs(1.0 - np.einsum("km,km->m", table, table)).max())
-    _check_defect(defect, j_max + 1, lam)
-    table.setflags(write=False)
-    return table, defect
-
-
-def _check_defect(defect: float, rows: int, lam: float) -> None:
     if not defect <= DEFAULT_RESIDUAL_BOUND:  # a nan defect raises too
-        raise TruncationError(f"{rows} table rows miss residual {DEFAULT_RESIDUAL_BOUND:.1e} "
+        raise TruncationError(f"{j_max + 1} table rows miss residual {DEFAULT_RESIDUAL_BOUND:.1e} "
                               f"by rounding: worst defect {defect:.3e}, gamma N^2 = {lam:.6g}")
+    table.setflags(write=False)
+    return table
 
 
 def environment_amplitudes(params: DephasingParams, n_max: int) -> np.ndarray:
@@ -258,15 +255,13 @@ def environment_amplitudes(params: DephasingParams, n_max: int) -> np.ndarray:
     defect |1 - sum_k <k|.>^2| above DEFAULT_RESIDUAL_BOUND is rounding that
     more rows cannot remove, and raises TruncationError. Below it the Kraus
     sum is trace preserving and the dilation isometric to that accuracy; the
-    defect is 2.7e-15 at N 128, gamma 1. The table is built once per
-    (gamma, N) and returned read-only; the defect is checked against the
-    bound on every call. A table takes K (N+1) 8 bytes: 18 MB at N 128,
-    gamma 1, about 8.7 GB at N 1024; its build peaks at about 1.2 times that
-    (about 10.5 GB at N 1024), and at most 16 tables are cached.
+    defect is 2.7e-15 at N 128, gamma 1. The table is built, and its defect
+    checked, once per (gamma, N), and returned read-only. A table takes
+    K (N+1) 8 bytes: 18 MB at N 128, gamma 1, about 8.7 GB at N 1024; its
+    build peaks at about 1.2 times that (about 10.5 GB at N 1024), and at
+    most 16 tables are cached.
     """
-    table, defect = _environment_table(params.gamma, n_max)
-    _check_defect(defect, table.shape[0], params.gamma * n_max ** 2)
-    return table
+    return _environment_table(params.gamma, n_max)
 
 
 def kraus_apply(rho: FockDensityMatrix, params: DephasingParams) -> FockDensityMatrix:
@@ -348,41 +343,43 @@ def dilation_oracle(rho: FockDensityMatrix, params: DephasingParams):
     return kraus_apply(rho, params), complementary_output(rho.diagonal(), params)
 
 
-@functools.lru_cache(maxsize=4)
-def _hermgauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Hermite nodes and weights, built once per node count."""
-    rule = np.polynomial.hermite.hermgauss(nodes)
-    for a in rule:
-        a.setflags(write=False)
-    return rule
-
-
-def phase_average_oracle(
-    rho: FockDensityMatrix, params: DephasingParams, nodes: int
-) -> FockDensityMatrix:
-    """Gauss-Hermite evaluation of the phase randomization integral.
+def phase_average_oracle(rho: FockDensityMatrix, params: DephasingParams) -> FockDensityMatrix:
+    """Periodic trapezoid rule for the phase randomization integral.
 
     Averages e^{-i n phi} rho e^{i n phi} over a centered Gaussian phase
-    whose variance is gamma, which reproduces the closed-form decay
-    e^{-gamma (m-n)^2 / 2} as the node count grows. gamma = 0 returns rho
-    unchanged (the density degenerates to a point mass at phi = 0).
-
-    The caller picks nodes: no short rule gives the count. Reaching 1e-12 on
-    the distance kernel takes 33 nodes at gamma 1, N 5; 47 at gamma 2, N 5;
-    111 at gamma 8, N 5; and 314 at gamma 50, N 4. With gamma N^2 >= 1024 no
-    count up to 400 reached it, and numpy's hermgauss overflows there. The
-    validation suite's 96 nodes cover its grid, gamma <= 2 and N <= 5.
+    of variance gamma on the circle. gamma = 0 returns rho unchanged (the
+    density degenerates to a point mass at phi = 0). Otherwise the rule
+    takes M = ceil(N + 1 + sqrt(80) / sigma) nodes phi_j = 2 pi j / M,
+    sigma = sqrt(gamma). The integrand is 2 pi-periodic, so by Poisson
+    summation the node sum at distance d = |m - n| is e^{-gamma d^2 / 2}
+    plus the aliases e^{-gamma (d + r M)^2 / 2}, r != 0, which total at
+    most 2 e^{-40} for every d <= N (L. N. Trefethen and J. A. C. Weideman,
+    "The exponentially convergent trapezoidal rule", SIAM Review 56, 2014).
+    A node's weight is 2 pi / M times the N(0, gamma) density summed over
+    its wraps phi_j + 2 pi r, for the wraps r that take some node within
+    9 sigma of 0 (the tails past 9 sigma hold 2.3e-19 of the mass); the
+    density is evaluated in units of sigma, so a subnormal gamma keeps full
+    precision. Only the nodes within 9 sigma of 0 are kept: 25 of them as
+    gamma N^2 -> 0. For large gamma all M are kept, and the rule takes
+    about 2.9 sigma (N + 2) density values, all held at once: 7.4e6 at
+    gamma 1e8, N 256, which trace 177 MB.
     """
-    if nodes < 1:
-        raise ValueError("nodes must be >= 1")
     if params.gamma == 0.0:
         return rho
-    x, wts = _hermgauss(nodes)
-    phi = x * math.sqrt(2.0 * params.gamma)
+    sigma = math.sqrt(params.gamma)
+    m = float(math.ceil(rho.dim + math.sqrt(80.0) / sigma))
+    step = 2.0 * math.pi / m / sigma  # node spacing in units of sigma, finite at any gamma > 0
+    k_max = math.floor(9.0 / step)  # the points 2 pi k / M within 9 sigma have |k| <= k_max
+    width = int(min(2 * k_max + 1, m))
+    j = np.arange(width) - width // 2  # the kept nodes, phi_j = 2 pi j / M in [-pi, pi)
+    # node j's wraps phi_j + 2 pi r, over every r that takes some node within 9 sigma
+    wraps = math.floor((k_max + width // 2) / m)
+    z = (j[:, None] + m * np.arange(-wraps, wraps + 1.0)) * step
+    wts = np.exp(-0.5 * z * z).sum(axis=1) * (step / math.sqrt(2.0 * math.pi))
     # the sine part integrates to zero by symmetry, and the cosine kernel
     # depends on |m - n| only: one value per distance
     n = np.arange(rho.dim)
-    kernel = (wts / math.sqrt(math.pi)) @ np.cos(np.multiply.outer(phi, n))
+    kernel = wts @ np.cos(np.multiply.outer(j * (2.0 * math.pi / m), n))
     return FockDensityMatrix(kernel[np.abs(np.subtract.outer(n, n))] * rho.entries)
 
 

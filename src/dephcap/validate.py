@@ -50,9 +50,9 @@ def suite_representation_equivalence(level: str = "quick") -> SuiteResult:
         rho = fock.random_density_matrix(int(dim), rng)
         for gamma in (0.25, 1.0, 2.0):
             params = DephasingParams(gamma)
-            outs = [f(rho, params) for f in
-                    (fock.apply_dephasing, fock.kraus_apply, fock.evolve_master_equation)]
-            outs.append(fock.phase_average_oracle(rho, params, 96))
+            outs = [f(rho, params) for f in (fock.apply_dephasing, fock.kraus_apply,
+                                             fock.evolve_master_equation,
+                                             fock.phase_average_oracle)]
             for i in range(len(outs)):
                 for k in range(i + 1, len(outs)):
                     worst = max(worst, _max_diff(outs[i], outs[k]))

@@ -1,6 +1,8 @@
 import dataclasses
+import inspect
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +211,7 @@ class TestKraus:
         # so a 1e-20 bound is never met: the table must refuse rather than
         # return a short Kraus sum
         monkeypatch.setattr(fock, "DEFAULT_RESIDUAL_BOUND", 1e-20)
+        fock._environment_table.cache_clear()
         with pytest.raises(TruncationError, match="residual"):
             environment_amplitudes(DephasingParams(1.0), 32)
 
@@ -259,7 +262,7 @@ class TestKraus:
         # traces little beyond the table itself
         tracemalloc.start()
         try:
-            table, _ = fock._environment_table.__wrapped__(1.0, 128)
+            table = fock._environment_table.__wrapped__(1.0, 128)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -312,14 +315,6 @@ class TestKraus:
         assert environment_amplitudes(DephasingParams(0.9), 4) is table
         with pytest.raises(ValueError):
             table[0, 0] = 2.0
-
-    def test_cached_table_rechecks_bound(self, monkeypatch):
-        # the bound is read on every call, not only when the table is built
-        params = DephasingParams(1.0)
-        environment_amplitudes(params, 32)
-        monkeypatch.setattr(fock, "DEFAULT_RESIDUAL_BOUND", 1e-20)
-        with pytest.raises(TruncationError, match="residual"):
-            environment_amplitudes(params, 32)
 
     @pytest.mark.parametrize("gamma", [0.25, 1.0, 2.0, 4.0])
     def test_kraus_sum_matches_closed_form_real_and_complex(self, gamma):
@@ -512,43 +507,45 @@ class TestDilationOracle:
 
 class TestPhaseAverageOracle:
     def test_matches_closed_form(self):
+        # from a subnormal gamma, where sqrt(80 / gamma) would overflow, to
+        # gamma 1e5, where the weights fold many wraps onto each node; a
+        # 96-node Gauss-Hermite rule misses by 9.4e-3 at gamma 1, dim 33
+        # and by 1.9e-9 at gamma 8, dim 6
         rng = np.random.default_rng(16)
-        rho = random_density_matrix(5, rng)
-        out = phase_average_oracle(rho, DephasingParams(1.0), 64)
-        assert np.abs(out.entries - closed_form(rho, 1.0)).max() < 1e-10
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for gamma in (5e-324, 1e-12, 1e-3, 0.25, 1.0, 2.0, 8.0, 50.0, 1e5):
+                for dim in (2, 6, 33, 257):
+                    rho = random_density_matrix(dim, rng)
+                    out = phase_average_oracle(rho, DephasingParams(gamma)).entries
+                    assert np.abs(out - closed_form(rho, gamma)).max() <= 1e-14, (gamma, dim)
 
     def test_diagonal_input_exactly_invariant(self):
         p = np.array([0.1, 0.2, 0.3, 0.4])
         rho = diagonal_state(p)
-        for nodes in (1, 3, 16):
-            out = phase_average_oracle(rho, DephasingParams(0.7), nodes)
-            assert np.abs(out.entries - rho.entries).max() < 1e-15
-
-    @pytest.mark.parametrize("nodes", [1, 3, 16, 96])
-    def test_distance_kernel_matches_node_sum(self, nodes):
-        # reference: the (nodes, dim, dim) cosine tensor summed over the nodes
-        rho = random_density_matrix(6, np.random.default_rng(24))
-        x, wts = np.polynomial.hermite.hermgauss(nodes)
-        phi = x * math.sqrt(2.0 * 1.3)
-        d = np.subtract.outer(np.arange(6), np.arange(6))
-        factors = np.tensordot(wts / math.sqrt(math.pi), np.cos(np.multiply.outer(phi, d)), axes=1)
-        out = phase_average_oracle(rho, DephasingParams(1.3), nodes)
-        assert np.abs(out.entries - factors * rho.entries).max() < 1e-15
+        out = phase_average_oracle(rho, DephasingParams(0.7))
+        assert np.abs(out.entries - rho.entries).max() < 1e-15
 
     def test_gamma_zero_short_circuits(self):
         rng = np.random.default_rng(17)
         rho = random_density_matrix(4, rng)
-        assert phase_average_oracle(rho, DephasingParams(0.0), 8) is rho
+        assert phase_average_oracle(rho, DephasingParams(0.0)) is rho
 
     def test_large_gamma_output_is_numerically_diagonal(self):
         rng = np.random.default_rng(18)
         rho = random_density_matrix(3, rng)
-        out = phase_average_oracle(rho, DephasingParams(50.0), 128)
+        out = phase_average_oracle(rho, DephasingParams(50.0))
         off = out.entries - np.diag(out.entries.diagonal())
         assert np.abs(off).max() < 5e-11  # e^{-50/2} ~ 1.4e-11
 
 
 class TestRepresentationEquivalence:
+    def test_oracles_take_rho_and_params(self):
+        # one call shape, f(rho, params), for every representation of the channel
+        for f in (apply_dephasing, kraus_apply, evolve_master_equation, phase_average_oracle,
+                  dilation_oracle):
+            assert list(inspect.signature(f).parameters) == ["rho", "params"], f.__name__
+
     @pytest.mark.parametrize("gamma", [0.25, 1.0, 2.0])
     def test_all_paths_agree(self, gamma):
         rng = np.random.default_rng(19)
@@ -561,7 +558,7 @@ class TestRepresentationEquivalence:
                 "kraus": kraus_apply(rho, params).entries,
                 "master": evolve_master_equation(rho, params).entries,
                 "dilation": dilation_oracle(rho, params)[0].entries,
-                "quadrature": phase_average_oracle(rho, params, 96).entries,
+                "quadrature": phase_average_oracle(rho, params).entries,
             }
             for name, mat in paths.items():
                 assert np.abs(mat - reference).max() < 5e-9, name
