@@ -14,6 +14,9 @@ and the complementary channel read one environment table, environment_amplitudes
 the Kraus operators are its rows, the coherent states of the dilation
 V|m> = |m> x |sqrt(gamma) m> its columns. Both partial traces of
 V rho V^dag are contractions of that table; the joint state is never built.
+coherent_information reads the environment's entropy off the same table,
+weighted by the populations, by one thin SVD (environment_entropy_bits),
+so it builds no K x K state either.
 The real table is built in one pass from the saddle-point form of the
 Poisson weight in row blocks, cached per (gamma, N) and read-only; its
 completeness defect stays near 1e-15 at N 128, gamma 1, so its memory,
@@ -264,6 +267,20 @@ def environment_amplitudes(params: DephasingParams, n_max: int) -> np.ndarray:
     return _environment_table(params.gamma, n_max)
 
 
+def environment_entropy_bits(p, params: DephasingParams) -> float:
+    """Entropy in bits of the environment output sum_m p_m |sqrt(gamma) m><sqrt(gamma) m|.
+
+    With C = environment_amplitudes, that output is C diag(p) C^T, whose
+    nonzero spectrum is the squared singular values of the K x (N+1)
+    matrix C diag(sqrt p): one thin SVD in O(K N^2), no K x K matrix.
+    Negative rounding in p counts as 0.
+    """
+    w = np.maximum(np.asarray(p, dtype=float), 0.0)
+    c = environment_amplitudes(params, w.size - 1)
+    s = np.linalg.svd(c * np.sqrt(w)[None, :], compute_uv=False)
+    return max(shannon_bits(s * s), 0.0)
+
+
 def kraus_apply(rho: FockDensityMatrix, params: DephasingParams) -> FockDensityMatrix:
     """Truncated Kraus sum sum_k K_k rho K_k^dag over the rows of environment_amplitudes.
 
@@ -386,9 +403,10 @@ def phase_average_oracle(rho: FockDensityMatrix, params: DephasingParams) -> Foc
 def coherent_information(rho: FockDensityMatrix, params: DephasingParams) -> float:
     """J(rho) = S(channel output) - S(complementary output), in bits.
 
-    Both entropies come from dilation_oracle's two partial traces on the
-    environment table, independent of the replica path, and read the
-    spectra their construction already computed.
+    The channel output is the Kraus sum, whose entropy reads the spectrum
+    its construction already computed. The environment sees only the
+    populations of rho, so its entropy is environment_entropy_bits of
+    rho's diagonal: nothing larger than (N+1) x (N+1) is diagonalized.
     """
-    sys_out, env_out = dilation_oracle(rho, params)
-    return sys_out.entropy_bits() - env_out.entropy_bits()
+    return kraus_apply(rho, params).entropy_bits() - environment_entropy_bits(
+        rho.diagonal(), params)

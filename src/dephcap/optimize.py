@@ -211,11 +211,13 @@ def _hessian(weights, a, v):
 
 
 def _fd_gradient(weights, gamma):
-    """Central differences of the textbook H(p) - S(A(p)) in bits.
+    """Central differences of the kernel's J in bits, the check on objective_gradient.
 
-    The independent reference for objective_gradient, projected onto the
-    simplex tangent as it is. Every weight must exceed FD_STEP, so that no
-    probe weight goes negative.
+    For any positive weights, on or off the simplex, the kernel's J equals
+    H(w) - S(A(w)) (sum_l V_ml^2 a_l = w_m and tr M = sum w), so this
+    differences the textbook objective through J's value alone. The result
+    is projected onto the simplex tangent, as objective_gradient is. Every
+    weight must exceed FD_STEP, so that no probe weight goes negative.
     """
     if weights.min() <= FD_STEP:
         raise ValueError(f"finite-difference gradient requires every p_m > {FD_STEP:g}")
@@ -226,8 +228,8 @@ def _fd_gradient(weights, gamma):
         hi[k] += FD_STEP
         lo[k] -= FD_STEP
         grad[k] = (
-            replica._objective_bits_raw(hi, gamma) - replica._objective_bits_raw(lo, gamma)
-        ) / (2.0 * FD_STEP)
+            _objective_and_gradient(hi, gamma)[0] - _objective_and_gradient(lo, gamma)[0]
+        ) / (2.0 * FD_STEP * _LN2)
     return grad - grad.mean()
 
 

@@ -11,15 +11,16 @@ import numpy as np
 from dephcap import cli, validate
 from dephcap.fock import DephasingParams, shannon_bits
 from dephcap.optimize import (
-    _ansatz_weights,
     _fd_gradient,
+    ansatz_distribution,
     asymptotic_capacity,
+    coherent_information_diagonal,
     default_sigma,
     maximize_coherent_information,
     maximize_over_ansatz,
     objective_gradient,
 )
-from dephcap.replica import InputDistribution, _objective_bits_raw
+from dephcap.replica import InputDistribution
 
 LN2 = math.log(2.0)
 
@@ -55,7 +56,7 @@ def test_criterion_2_replica_vs_bruteforce():
     res = validate.suite_replica_vs_bruteforce("full")
     report(
         2,
-        "replica entropy equals brute-force coherent-mixture entropy (50 draws each)",
+        "solver's J kernel equals H(p) - brute-force coherent-mixture entropy (50 draws each)",
         res.passed and res.worst < 1e-8,
         f"max deviation = {res.worst:.2e}",
     )
@@ -161,7 +162,7 @@ def test_criterion_8_ansatz_adequacy():
                 # N=1 every sigma yields p = (1/2, 1/2), so any width
                 # (including all in-band ones) attains the same optimum
                 spread = max(
-                    _objective_bits_raw(_ansatz_weights(n_max, s), gamma)
+                    coherent_information_diagonal(ansatz_distribution(n_max, s), params)
                     for s in np.linspace(0.05, 5.0 * n_max, 50)
                 ) - q_ansatz
                 if abs(spread) > 1e-12:

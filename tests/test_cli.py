@@ -475,9 +475,12 @@ class TestValidateCommand:
              lambda real: lambda rho, params: real(rho, params)
              + np.abs(np.triu(rho.entries, 1)).sum(),
              "proposition1_dominance"),
+            (optimize, "coherent_information_diagonal",
+             lambda real: lambda p, params: real(p, params) * (1.0 + 1e-6),
+             "replica_vs_bruteforce"),
         ],
         ids=["skewed-gram-kernel", "skewed-kraus", "skewed-environment-table", "rates-do-not-add",
-             "mixes-in-superposition", "rewards-coherence"],
+             "mixes-in-superposition", "rewards-coherence", "scaled-j-kernel"],
     )
     def test_corrupted_code_fails_its_suite(self, capsys, monkeypatch, module, name, fault, suite):
         # negative controls: the acceptance tests trust these suites, so each

@@ -578,16 +578,35 @@ class TestProposition1:
                 j_diag = fock.coherent_information(diag, params)
                 assert j_rho <= j_diag + 1e-9
 
+    def test_negative_rounding_population_counts_as_zero(self):
+        # a state may keep eigenvalues down to EIGENVALUE_FLOOR, so a population
+        # can sit just below 0; the environment's SVD must not take its root
+        rho = FockDensityMatrix(np.diag([0.5 + 1e-11, 0.5, -1e-11]))
+        e = math.exp(-0.5)
+        expected = 1.0 + sum(q * math.log2(q) for q in ((1 + e) / 2, (1 - e) / 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = fock.coherent_information(rho, DephasingParams(1.0))
+        assert value == pytest.approx(expected, abs=1e-10)
+
     def test_two_diagonalizations_per_evaluation(self, monkeypatch):
-        # one per partial trace, in its constructor; the entropies reuse those spectra
+        # the channel output's eigvalsh in its constructor, then one thin SVD of
+        # the K x (N+1) environment table for the environment: no K x K matrix
         rho = random_density_matrix(4, np.random.default_rng(21))
+        params = DephasingParams(1.0)
         calls = []
-        eigvalsh = np.linalg.eigvalsh
 
-        def counted(matrix):
-            calls.append(matrix.shape)
-            return eigvalsh(matrix)
+        def counting(name):
+            original = getattr(np.linalg, name)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        fock.coherent_information(rho, DephasingParams(1.0))
-        assert len(calls) == 2
+            def counted(matrix, *args, **kwargs):
+                calls.append((name, matrix.shape))
+                return original(matrix, *args, **kwargs)
+
+            return counted
+
+        for name in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        fock.coherent_information(rho, params)
+        k_rows = fock.environment_amplitudes(params, 3).shape[0]
+        assert calls == [("eigvalsh", (4, 4)), ("svd", (k_rows, 4))]

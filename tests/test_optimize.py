@@ -543,3 +543,17 @@ def test_optimum_is_concave_certificate():
     for _ in range(20):
         q = rng.dirichlet(np.ones(5))
         assert coherent_information_diagonal(InputDistribution(q), params) <= res.q_bits + 1e-8
+
+
+@pytest.mark.parametrize("n_max, gamma", [(16, 1.0), (64, 1.0), (128, 1.0), (40, 4.0)])
+def test_no_input_beats_the_certificate(n_max, gamma):
+    # Proposition 1 and the duality gap together: no state, coherent or not,
+    # has J above q_bits + gap. The mixtures run from a Ginibre state to a
+    # point 1e-4 away from the certified diagonal optimum.
+    params = DephasingParams(gamma)
+    res = maximize_coherent_information(n_max, params)
+    assert res.converged
+    sigma = fock.random_density_matrix(n_max + 1, np.random.default_rng(n_max)).entries
+    for t in (1.0, 0.1, 0.01, 1e-4):
+        rho = fock.FockDensityMatrix((1.0 - t) * np.diag(res.p_opt.p) + t * sigma)
+        assert fock.coherent_information(rho, params) <= res.q_bits + res.gap, t

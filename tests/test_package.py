@@ -32,8 +32,10 @@ def test_all_names_resolve_once():
 
 def test_removed_names_stay_removed():
     # one entropy per state (FockDensityMatrix.entropy_bits); states are built directly;
-    # the master equation derives its own RK4 step count
-    removed = {"vn_entropy_bits", "fock_state", "pure_state", "master_equation_steps"}
+    # the master equation derives its own RK4 step count; the solver's J kernel is
+    # the one replica-matrix entropy
+    removed = {"vn_entropy_bits", "fock_state", "pure_state", "master_equation_steps",
+               "entropy_replica"}
     assert not removed & set(dephcap.__all__)
     assert not any(hasattr(dephcap, name) for name in removed)
 

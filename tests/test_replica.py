@@ -15,7 +15,6 @@ from dephcap.optimize import (
 from dephcap.replica import (
     InputDistribution,
     entropy_bruteforce_oracle,
-    entropy_replica,
     gram_matrix,
     shannon_entropy,
 )
@@ -28,6 +27,11 @@ def random_distribution(rng, dim, concentration=1.0):
 def replica_matrix(p, params):
     """A = G diag(p), whose nonzero spectrum is that of the complementary output."""
     return gram_matrix(params, np.arange(p.dim)) * p.p[None, :]
+
+
+def kernel_entropy(p, params):
+    """S(A) in bits as the solver's J kernel gives it: H(p) - J(p)."""
+    return shannon_entropy(p) - coherent_information_diagonal(p, params)
 
 
 def distributions(max_n=7):
@@ -120,14 +124,15 @@ class TestReplicaMatrix:
 
 
 class TestEntropyReplica:
+    # the replica matrix's entropy read off the solver's kernel, S(A) = H(p) - J
     def test_point_mass_is_zero(self):
         p = InputDistribution(np.array([1.0, 0.0, 0.0]))
-        assert entropy_replica(p, DephasingParams(1.0)) == 0.0
+        assert kernel_entropy(p, DephasingParams(1.0)) == 0.0
 
     def test_gamma_zero_is_zero(self):
         rng = np.random.default_rng(3)
         p = random_distribution(rng, 5)
-        assert entropy_replica(p, DephasingParams(0.0)) == pytest.approx(0.0, abs=1e-12)
+        assert kernel_entropy(p, DephasingParams(0.0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_level_binary_entropy(self):
         # independent closed form: H2((1 +- e^{-1/2})/2) = 0.7153491667107217
@@ -135,7 +140,7 @@ class TestEntropyReplica:
         e = math.exp(-0.5)
         qp, qm = (1 + e) / 2, (1 - e) / 2
         expected = -(qp * math.log2(qp) + qm * math.log2(qm))
-        assert entropy_replica(p, DephasingParams(1.0)) == pytest.approx(expected, abs=1e-12)
+        assert kernel_entropy(p, DephasingParams(1.0)) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.7153491667107217, abs=1e-15)
 
     @pytest.mark.parametrize("gamma", [0.25, 1.0, 2.0])
@@ -145,9 +150,9 @@ class TestEntropyReplica:
         params = DephasingParams(gamma)
         for _ in range(5):
             p = random_distribution(rng, n_max + 1)
-            fast = entropy_replica(p, params)
+            kernel = kernel_entropy(p, params)
             slow = entropy_bruteforce_oracle(p, params)
-            assert fast == pytest.approx(slow, abs=1e-8)
+            assert kernel == pytest.approx(slow, abs=1e-8)
 
     def test_zero_weight_levels_dropped(self):
         # support {0, 2} must use the original Fock distances, not {0, 1}
@@ -156,21 +161,21 @@ class TestEntropyReplica:
         e = math.exp(-gamma * 4 / 2.0)  # overlap of levels 0 and 2
         qp, qm = (1 + e) / 2, (1 - e) / 2
         expected = -(qp * math.log2(qp) + qm * math.log2(qm))
-        assert entropy_replica(p, DephasingParams(gamma)) == pytest.approx(expected, abs=1e-12)
+        assert kernel_entropy(p, DephasingParams(gamma)) == pytest.approx(expected, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(p=distributions(), gamma=st.floats(0.0, 3.0, allow_nan=False))
     def test_reversal_invariance(self, p, gamma):
         params = DephasingParams(gamma)
         reversed_p = InputDistribution(p.p[::-1].copy())
-        assert entropy_replica(p, params) == pytest.approx(
-            entropy_replica(reversed_p, params), abs=1e-10
+        assert kernel_entropy(p, params) == pytest.approx(
+            kernel_entropy(reversed_p, params), abs=1e-10
         )
 
     @settings(max_examples=40, deadline=None)
     @given(p=distributions(), gamma=st.floats(0.0, 3.0, allow_nan=False))
     def test_bounded_by_shannon(self, p, gamma):
-        s = entropy_replica(p, DephasingParams(gamma))
+        s = kernel_entropy(p, DephasingParams(gamma))
         assert -1e-12 <= s <= shannon_entropy(p) + 1e-9
 
 
