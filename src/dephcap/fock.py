@@ -148,8 +148,8 @@ def phi1p(u) -> np.ndarray:
     """phi(1 + u) = (1 + u) ln(1 + u) - u elementwise for u >= -1, phi(x) = x ln x - x + 1.
 
     phi >= 0, with phi(1 + u) = 1 at u = -1. Near u = 0, where the two
-    terms cancel, the power series is summed instead, so an exact u keeps
-    its relative accuracy.
+    terms cancel, the power series is summed instead, by np.polyval's
+    Horner recurrence in -u, so an exact u keeps its relative accuracy.
     """
     u = np.asarray(u, dtype=float)
     out = np.log1p(u, out=np.zeros_like(u), where=u > -1.0)
@@ -157,10 +157,7 @@ def phi1p(u) -> np.ndarray:
     out -= u
     near = np.abs(u) < _PHI_SERIES_U
     un = u[near]
-    series = np.zeros_like(un)
-    for coeff in _PHI_SERIES[::-1]:
-        series = coeff - un * series
-    out[near] = un * un * series
+    out[near] = un * un * np.polyval(_PHI_SERIES[::-1], -un)
     return out
 
 
@@ -187,18 +184,18 @@ _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _stirling_delta(k) -> np.ndarray:
-    """delta(k) = ln k! - (k + 1/2) ln k + k - ln(2 pi)/2 elementwise for integers k >= 1."""
+    """delta(k) = ln k! - (k + 1/2) ln k + k - ln(2 pi)/2 elementwise for integers k >= 1.
+
+    Below _STIRLING_FROM it comes from one math.lgamma call per entry; from
+    there on the Stirling series is summed in 1/k^2 by np.polyval.
+    """
     k = np.asarray(k, dtype=float)
     out = np.empty_like(k)
     small = k < _STIRLING_FROM
     out[small] = [math.lgamma(j + 1.0) - (j + 0.5) * math.log(j) + j - _HALF_LN_2PI
                   for j in k[small]]
     x = 1.0 / k[~small]
-    x2 = x * x
-    series = np.zeros_like(x)
-    for coeff in _STIRLING[::-1]:
-        series = coeff + x2 * series
-    out[~small] = x * series
+    out[~small] = x * np.polyval(_STIRLING[::-1], x * x)
     return out
 
 

@@ -91,11 +91,18 @@ def two_point_lower_bound(params: DephasingParams, j: int) -> TwoPointBound:
     """Lower bound 1 - H2((1 +- e)/2), e = e^{-gamma j^2/2}; independent of the base level.
 
     In nats the bound is (phi(1 + e) + phi(1 - e)) / 2, two terms of the
-    kernel fock.phi1p, which keeps its relative accuracy as e -> 0.
+    kernel fock.phi1p, which keeps its relative accuracy as e -> 0. gamma j^2 / 2
+    is one rounded quotient of exact integers, so a j whose square has no
+    float still gives e = 1 at gamma 0, and e = 0 once the exponent overflows.
     """
     if j < 1:
         raise ValueError("j must be >= 1")
-    e = math.exp(-params.gamma * j ** 2 / 2.0)
+    num, den = params.gamma.as_integer_ratio()
+    try:
+        exponent = num * j ** 2 / (2 * den)
+    except OverflowError:
+        exponent = math.inf
+    e = math.exp(-exponent)
     value = float(fock.phi1p(np.array([e, -e])).sum()) / (2.0 * _LN2)
     return TwoPointBound(params.gamma, j, (1.0 + e) / 2.0, (1.0 - e) / 2.0, value)
 
@@ -139,23 +146,19 @@ def coherent_information_diagonal(p: InputDistribution, params: DephasingParams)
 
 
 def _log_divided_difference(x, y):
-    """L(x, y) = (ln x - ln y) / (x - y) elementwise, with 1/y where x = y.
+    """L(x, y) = (ln x - ln y) / (x - y) elementwise, with 1/x where x = y, for x, y <= 1.
 
-    Pairs with |x - y| < y / 2 take log1p of their exact difference, so
-    close arguments lose nothing to cancellation. Zeros are raised to the
-    smallest normal float, where L stays finite; callers weight such terms
-    by the zero, so they add nothing.
+    With lo <= hi the ordered pair, L = log1p(u) / u / lo at u = (hi - lo) / lo,
+    so L(x, y) == L(y, x) bitwise. u >= 0 needs no cancelling log: close
+    arguments subtract exactly and log1p of u >= 0 loses nothing. Zeros are
+    raised to the smallest normal float, where L stays finite, and so is u,
+    where log1p(u) / u rounds to 1; hi <= 1 keeps u finite. Callers weight
+    terms at a zero argument by the zero, so they add nothing.
     """
-    x = np.maximum(x, np.finfo(float).tiny)
-    y = np.maximum(y, np.finfo(float).tiny)
-    diff = x - y
-    u = diff / y
-    out = np.broadcast_to(1.0 / y, u.shape).copy()
-    close = (np.abs(u) < 0.5) & (u != 0.0)
-    out[close] *= np.log1p(u[close]) / u[close]
-    far = np.abs(u) >= 0.5
-    out[far] = (np.log(x) - np.log(y))[far] / diff[far]
-    return out
+    tiny = np.finfo(float).tiny
+    lo = np.maximum(np.minimum(x, y), tiny)
+    u = np.maximum((np.maximum(x, y) - lo) / lo, tiny)
+    return np.log1p(u) / u / lo
 
 
 def _mirror(x):
@@ -326,21 +329,16 @@ def default_sigma(n_max: int) -> float:
     return 0.2 * n_max + 0.6
 
 
-def _ansatz_weights(n_max: int, sigma: float) -> np.ndarray:
-    m = np.arange(n_max + 1, dtype=float)
-    z = -((m - n_max / 2.0) ** 2) / (2.0 * sigma ** 2)
-    z -= z.max()
-    w = np.exp(z)
-    return w / w.sum()
-
-
 def ansatz_distribution(n_max: int, sigma: float) -> InputDistribution:
     """p_m proportional to e^{-(m - N/2)^2 / (2 sigma^2)} on m = 0..N."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if not sigma > 0.0:
         raise ValueError("sigma must be > 0")
-    return InputDistribution(_ansatz_weights(n_max, sigma))
+    m = np.arange(n_max + 1, dtype=float)
+    z = -((m - n_max / 2.0) ** 2) / (2.0 * sigma ** 2)
+    w = np.exp(z - z.max())
+    return InputDistribution(w / w.sum())
 
 
 def maximize_coherent_information(n_max: int, params: DephasingParams) -> CapacityResult:

@@ -410,6 +410,15 @@ class TestOtherCommands:
         assert rc == 0
         assert float(rec["value_bits"]) == pytest.approx(closed_form_q2(1.0), abs=1e-12)
 
+    @pytest.mark.parametrize("gamma, bits", [("0", "1"), ("1", "0")])
+    def test_lower_bound_separation_past_float_range(self, capsys, gamma, bits):
+        # j^2 = 1e800 has no float: e is 1 at gamma 0 and underflows to 0 otherwise
+        rc = main(["lower-bound", "--gamma", gamma, "--j", str(10 ** 400)])
+        rec = parse_record(capsys.readouterr().out)
+        assert rc == 0
+        assert rec["j"] == str(10 ** 400)
+        assert rec["value_bits"] == bits
+
     def test_ansatz_record(self, capsys):
         rc = main(["ansatz", "--n", "5", "--gamma", "1"])
         rec = parse_record(capsys.readouterr().out)

@@ -6,9 +6,9 @@ import pytest
 from dephcap import fock
 from dephcap.fock import DephasingParams, shannon_bits
 from dephcap.optimize import (
-    _ansatz_weights,
     _fd_gradient,
     _hessian,
+    _log_divided_difference,
     _objective_and_gradient,
     _start_weights,
     CapacityResult,
@@ -208,12 +208,35 @@ class TestObjectiveHessian:
         # J is homogeneous of degree 1 in the weights, so H p = 0, and p is
         # symmetric, p = P p[:h]; each component of P^T H P p[:h] is -2 (-1
         # at a centre level) from -diag(P^T 1/p) plus terms that cancel it
-        p = _ansatz_weights(n_max, 2.0)
+        p = ansatz_distribution(n_max, 2.0).p
         _, _, a, v = _objective_and_gradient(p, gamma)
         hess = _hessian(p, a, v)
         assert hess.shape == ((n_max + 2) // 2,) * 2
         assert np.array_equal(hess, hess.T)
         assert np.abs(hess @ p[: hess.shape[0]]).max() <= 1e-13
+
+
+class TestLogDividedDifference:
+    def test_matches_high_precision_and_is_symmetric(self):
+        # pairs spread over 1e-300..1, close pairs at relative gaps 1e-16..1e-1,
+        # equal pairs (1/x) and zeros (raised to the smallest normal float)
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(7)
+        spread = 10.0 ** rng.uniform(-300.0, 0.0, (2, 2000))
+        base = 10.0 ** rng.uniform(-300.0, 0.0, 2000)
+        close = base / (1.0 + 10.0 ** rng.uniform(-16.0, -1.0, 2000))
+        equal = 10.0 ** rng.uniform(-300.0, 0.0, 200)
+        zeros = np.array([0.0, 0.0, 0.0, 1e-310, np.finfo(float).tiny])
+        x = np.concatenate([spread[0], base, equal, zeros])
+        y = np.concatenate([spread[1], close, equal, [0.0, 1.0, 1e-300, 0.0, 0.0]])
+        got = _log_divided_difference(x, y)
+        assert np.array_equal(got, _log_divided_difference(y, x))
+        tiny = np.finfo(float).tiny
+        with mpmath.workdps(50):
+            for xi, yi, value in zip(x, y, got):
+                a, b = mpmath.mpf(float(max(xi, tiny))), mpmath.mpf(float(max(yi, tiny)))
+                exact = 1 / a if a == b else (mpmath.log(a) - mpmath.log(b)) / (a - b)
+                assert abs(value - exact) <= 1e-15 * exact, (xi, yi)
 
 
 class TestObjectiveAgainstHighPrecision:
@@ -222,7 +245,7 @@ class TestObjectiveAgainstHighPrecision:
         # eigh resolves the e^{-gamma/2} couplings of M to about eps, so the
         # relative accuracy of J and grad J is about eps e^{gamma/2}
         rng = np.random.default_rng(60 + n_max)
-        points = [_ansatz_weights(n_max, default_sigma(n_max)),
+        points = [ansatz_distribution(n_max, default_sigma(n_max)).p,
                   interior_distribution(rng, n_max + 1).p]
         for gamma in [0.0, 0.5, 1.0, 2.0, 4.0] + list(range(8, 61, 4)):
             tol = max(1e-12, 50 * np.finfo(float).eps * math.exp(gamma / 2.0))
@@ -448,10 +471,9 @@ class TestMaximizeOverAnsatz:
     @pytest.mark.parametrize("n_max, sigma", [(4, 0.0522), (4, 0.0533), (5, 0.0636), (64, 0.3)])
     def test_value_finite_where_tail_weights_underflow(self, n_max, sigma):
         # tail weights here are 0 or subnormal, where phi(a / p) overflows to inf or nan
-        assert _ansatz_weights(n_max, sigma).min() < 1e-300
-        value = coherent_information_diagonal(
-            ansatz_distribution(n_max, sigma), DephasingParams(1.0)
-        )
+        p = ansatz_distribution(n_max, sigma)
+        assert p.p.min() < 1e-300
+        value = coherent_information_diagonal(p, DephasingParams(1.0))
         assert math.isfinite(value) and 0.0 <= value <= math.log2(n_max + 1)
 
     @pytest.mark.parametrize("gamma", [30.0, 40.0])

@@ -1,5 +1,7 @@
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -62,3 +64,20 @@ def test_bench_suite_names_match_reference():
     reference = load_bench("reference")
     names = [suite.name for suite in validate.run_validation("quick")]
     assert names == list(reference.SUITE_TOLERANCES)
+
+
+def test_import_loads_numpy_only():
+    # setup_s and the numpy-only dependencies rest on this: importing the CLI,
+    # the solver and the validation suites loads no test or optional package
+    code = (
+        "import sys, dephcap.cli, dephcap.optimize, dephcap.validate\n"
+        "print(' '.join(m for m in sys.modules\n"
+        "               if m.partition('.')[0] in ('scipy', 'mpmath', 'hypothesis')\n"
+        "               or m.startswith('numpy.polynomial')))"
+    )
+    src = str(Path(dephcap.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == ""

@@ -143,17 +143,6 @@ class TestEntropyReplica:
         assert kernel_entropy(p, DephasingParams(1.0)) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.7153491667107217, abs=1e-15)
 
-    @pytest.mark.parametrize("gamma", [0.25, 1.0, 2.0])
-    @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5])
-    def test_matches_bruteforce(self, n_max, gamma):
-        rng = np.random.default_rng(1000 * n_max + int(10 * gamma))
-        params = DephasingParams(gamma)
-        for _ in range(5):
-            p = random_distribution(rng, n_max + 1)
-            kernel = kernel_entropy(p, params)
-            slow = entropy_bruteforce_oracle(p, params)
-            assert kernel == pytest.approx(slow, abs=1e-8)
-
     def test_zero_weight_levels_dropped(self):
         # support {0, 2} must use the original Fock distances, not {0, 1}
         gamma = 1.0
