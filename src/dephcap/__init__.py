@@ -8,21 +8,14 @@ from .fock import (
     TruncationError,
     apply_dephasing,
     coherent_information,
-    complementary_output,
     diagonal_state,
-    dilation_oracle,
     evolve_master_equation,
     kraus_apply,
     phase_average_oracle,
     phase_rotate,
     random_density_matrix,
 )
-from .replica import (
-    InputDistribution,
-    entropy_bruteforce_oracle,
-    gram_matrix,
-    shannon_entropy,
-)
+from .replica import InputDistribution
 from .optimize import (
     CapacityResult,
     TwoPointBound,
@@ -44,18 +37,13 @@ __all__ = [
     "TruncationError",
     "apply_dephasing",
     "coherent_information",
-    "complementary_output",
     "diagonal_state",
-    "dilation_oracle",
     "evolve_master_equation",
     "kraus_apply",
     "phase_average_oracle",
     "phase_rotate",
     "random_density_matrix",
     "InputDistribution",
-    "entropy_bruteforce_oracle",
-    "gram_matrix",
-    "shannon_entropy",
     "CapacityResult",
     "TwoPointBound",
     "ansatz_distribution",

@@ -208,11 +208,34 @@ _TABLE_BLOCK = 1024
 # rebuilt per pass, at about 0.1 ms each; 16 entries bound what a
 # long-lived process keeps.
 @functools.lru_cache(maxsize=16)
-def _environment_table(gamma: float, n_max: int) -> np.ndarray:
-    """The read-only table; a build whose defect fails the bound raises, uncached."""
-    lam = gamma * n_max ** 2
+def environment_amplitudes(params: DephasingParams, n_max: int) -> np.ndarray:
+    """The real (K, N+1) environment table <k|sqrt(gamma) m>, k < K, m = 0..N.
+
+    Column m is the coherent environment state the dilation attaches to
+    Fock level m. Row k is the diagonal of the Kraus operator
+    K_k = e^{-gamma (a^dag a)^2 / 2} (sqrt(gamma) a^dag a)^k / sqrt(k!).
+    Entry (k, m) is sqrt(Poisson(k; lam_m)), lam_m = gamma m^2, assembled in
+    log space from the saddle-point form (C. Loader, "Fast and accurate
+    computation of binomial probabilities", 2000)
+        log Poisson(k; lam) = -lam phi1p((k - lam) / lam) - ln(2 pi k)/2 - delta(k),
+    with delta(k) the Stirling correction of ln k!: no two terms cancel, so
+    large k and lam keep their relative accuracy. One pass builds
+    K = ceil(lam + 10 sqrt(lam + 1) + 10) + 1 rows, lam = gamma N^2: the
+    Poisson(gamma m^2) tail past K is below 1e-21 for lam <= 1e6, so a column
+    defect |1 - sum_k <k|.>^2| above DEFAULT_RESIDUAL_BOUND is rounding that
+    more rows cannot remove, and raises TruncationError. Below it the Kraus
+    sum is trace preserving and the dilation isometric to that accuracy; the
+    defect is 2.7e-15 at N 128, gamma 1. The function is its own cache,
+    keyed on (params, N), and DephasingParams is frozen, so it hashes by
+    gamma: a table is built, and its defect checked, once per key, and
+    returned read-only; a build that raises is not cached. A table takes
+    K (N+1) 8 bytes: 18 MB at N 128, gamma 1, about 8.7 GB at N 1024; its
+    build peaks at about 1.2 times that (about 10.5 GB at N 1024), and at
+    most 16 tables are cached.
+    """
+    lam = params.gamma * n_max ** 2
     j_max = int(math.ceil(lam + 10.0 * math.sqrt(lam + 1.0) + 10.0))
-    lam_m = gamma * np.arange(n_max + 1, dtype=float) ** 2
+    lam_m = params.gamma * np.arange(n_max + 1, dtype=float) ** 2
     cols = lam_m > 0.0
     lam_c = lam_m[cols]
     k = np.arange(1.0, j_max + 1.0)
@@ -236,32 +259,6 @@ def _environment_table(gamma: float, n_max: int) -> np.ndarray:
                               f"by rounding: worst defect {defect:.3e}, gamma N^2 = {lam:.6g}")
     table.setflags(write=False)
     return table
-
-
-def environment_amplitudes(params: DephasingParams, n_max: int) -> np.ndarray:
-    """The real (K, N+1) environment table <k|sqrt(gamma) m>, k < K, m = 0..N.
-
-    Column m is the coherent environment state the dilation attaches to
-    Fock level m. Row k is the diagonal of the Kraus operator
-    K_k = e^{-gamma (a^dag a)^2 / 2} (sqrt(gamma) a^dag a)^k / sqrt(k!).
-    Entry (k, m) is sqrt(Poisson(k; lam_m)), lam_m = gamma m^2, assembled in
-    log space from the saddle-point form (C. Loader, "Fast and accurate
-    computation of binomial probabilities", 2000)
-        log Poisson(k; lam) = -lam phi1p((k - lam) / lam) - ln(2 pi k)/2 - delta(k),
-    with delta(k) the Stirling correction of ln k!: no two terms cancel, so
-    large k and lam keep their relative accuracy. One pass builds
-    K = ceil(lam + 10 sqrt(lam + 1) + 10) + 1 rows, lam = gamma N^2: the
-    Poisson(gamma m^2) tail past K is below 1e-21 for lam <= 1e6, so a column
-    defect |1 - sum_k <k|.>^2| above DEFAULT_RESIDUAL_BOUND is rounding that
-    more rows cannot remove, and raises TruncationError. Below it the Kraus
-    sum is trace preserving and the dilation isometric to that accuracy; the
-    defect is 2.7e-15 at N 128, gamma 1. The table is built, and its defect
-    checked, once per (gamma, N), and returned read-only. A table takes
-    K (N+1) 8 bytes: 18 MB at N 128, gamma 1, about 8.7 GB at N 1024; its
-    build peaks at about 1.2 times that (about 10.5 GB at N 1024), and at
-    most 16 tables are cached.
-    """
-    return _environment_table(params.gamma, n_max)
 
 
 def environment_entropy_bits(p, params: DephasingParams) -> float:
@@ -337,7 +334,9 @@ def phase_rotate(rho: FockDensityMatrix, theta: float) -> FockDensityMatrix:
 def complementary_output(p, params: DephasingParams) -> FockDensityMatrix:
     """Environment output sum_m p_m |sqrt(gamma) m><sqrt(gamma) m|, real symmetric.
 
-    The p-weighted mixture of the columns of environment_amplitudes.
+    The p-weighted mixture of the columns of environment_amplitudes, as a
+    K x K state; coherent_information takes its entropy without building it.
+    Not exported by the package: the benchmark's tracer wraps it here by name.
     """
     w = np.asarray(p, dtype=float)
     c = environment_amplitudes(params, w.size - 1)
@@ -353,6 +352,7 @@ def dilation_oracle(rho: FockDensityMatrix, params: DephasingParams):
     the table's rows, which is the Kraus sum kraus_apply; tracing out the
     system keeps only the populations rho[m, m], which weight the coherent
     states as in complementary_output.
+    Not exported by the package: the benchmark's tracer wraps it here by name.
     """
     return kraus_apply(rho, params), complementary_output(rho.diagonal(), params)
 
@@ -369,31 +369,30 @@ def phase_average_oracle(rho: FockDensityMatrix, params: DephasingParams) -> Foc
     plus the aliases e^{-gamma (d + r M)^2 / 2}, r != 0, which total at
     most 2 e^{-40} for every d <= N (L. N. Trefethen and J. A. C. Weideman,
     "The exponentially convergent trapezoidal rule", SIAM Review 56, 2014).
-    A node's weight is 2 pi / M times the N(0, gamma) density summed over
-    its wraps phi_j + 2 pi r, for the wraps r that take some node within
-    9 sigma of 0 (the tails past 9 sigma hold 2.3e-19 of the mass); the
-    density is evaluated in units of sigma, so a subnormal gamma keeps full
-    precision. Only the nodes within 9 sigma of 0 are kept: 25 of them as
-    gamma N^2 -> 0. For large gamma all M are kept, and the rule takes
-    about 2.9 sigma (N + 2) density values, all held at once: 7.4e6 at
-    gamma 1e8, N 256, which trace 177 MB.
+    The N(0, gamma) density is summed on the lattice points 2 pi k / M
+    within 9 sigma of 0 (the tails past 9 sigma hold 2.3e-19 of the mass),
+    each weighted 2 pi / M, and evaluated in units of sigma, so a subnormal
+    gamma keeps full precision. While the lattice fits on the circle its
+    points are the nodes: 25 of them as gamma N^2 -> 0. For large gamma it
+    wraps, and one bincount folds point k onto node k mod M; the rule then
+    holds about 2.9 sigma (N + 2) density values at once: 7.4e6 at gamma
+    1e8, N 256, which trace 177 MB.
     """
     if params.gamma == 0.0:
         return rho
     sigma = math.sqrt(params.gamma)
-    m = float(math.ceil(rho.dim + math.sqrt(80.0) / sigma))
+    m = math.ceil(rho.dim + math.sqrt(80.0) / sigma)
     step = 2.0 * math.pi / m / sigma  # node spacing in units of sigma, finite at any gamma > 0
     k_max = math.floor(9.0 / step)  # the points 2 pi k / M within 9 sigma have |k| <= k_max
-    width = int(min(2 * k_max + 1, m))
-    j = np.arange(width) - width // 2  # the kept nodes, phi_j = 2 pi j / M in [-pi, pi)
-    # node j's wraps phi_j + 2 pi r, over every r that takes some node within 9 sigma
-    wraps = math.floor((k_max + width // 2) / m)
-    z = (j[:, None] + m * np.arange(-wraps, wraps + 1.0)) * step
-    wts = np.exp(-0.5 * z * z).sum(axis=1) * (step / math.sqrt(2.0 * math.pi))
+    k = np.arange(-k_max, k_max + 1)
+    wts = np.exp(-0.5 * (k * step) ** 2) * (step / math.sqrt(2.0 * math.pi))
+    if k.size > m:  # the lattice wraps: point k lands on node k mod M
+        wts = np.bincount(k % m, weights=wts)
+        k = np.arange(m)
     # the sine part integrates to zero by symmetry, and the cosine kernel
     # depends on |m - n| only: one value per distance
     n = np.arange(rho.dim)
-    kernel = wts @ np.cos(np.multiply.outer(j * (2.0 * math.pi / m), n))
+    kernel = wts @ np.cos(np.multiply.outer(k * (2.0 * math.pi / m), n))
     return FockDensityMatrix(kernel[np.abs(np.subtract.outer(n, n))] * rho.entries)
 
 

@@ -275,9 +275,9 @@ def _newton_ascent(w: np.ndarray, gamma: float):
     The loop stops once the gap max_m dJ/dp_m - p.grad J is at most
     GAP_RTOL * J, after MAX_NEWTON_STEPS steps (a safety stop: no point
     on N {1, 2, 3, 4, 8, 16, 24, 32, 64, 128} x gamma {0, 0.5, ..., 40}
-    takes more than 26, N 3 at gamma 34.5), when d is not
-    an ascent direction (the Hessian is lost to rounding), or when no step
-    that still changes p increases J.
+    takes more than 26, N 3 at gamma 34.5), when the bordered system is
+    singular or d is not an ascent direction (the Hessian's tangent part is
+    lost to rounding), or when no step that still changes p increases J.
     """
     value, grad, a, v = _objective_and_gradient(w, gamma)
     half = (w.size + 1) // 2
@@ -288,7 +288,10 @@ def _newton_ascent(w: np.ndarray, gamma: float):
     while (g := grad - value).max() > GAP_RTOL * value and iterations < MAX_NEWTON_STEPS:
         kkt[:-1, :-1] = _hessian(w, a, v)
         rhs[:-1] = -_fold(g)
-        s = np.linalg.solve(kkt, rhs)[:-1]
+        try:
+            s = np.linalg.solve(kkt, rhs)[:-1]
+        except np.linalg.LinAlgError:
+            break
         d = np.concatenate([s, s[: w.size // 2][::-1]])
         if not g @ d > 0.0:
             break

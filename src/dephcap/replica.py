@@ -2,13 +2,12 @@
 
 The environment output for a diagonal input with weights p is the
 coherent-state mixture Omega = sum_m p_m |sqrt(gamma) m><sqrt(gamma) m|.
-Its nonzero spectrum equals that of the (N+1)x(N+1) matrix
-A[i, j] = e^{-gamma (i-j)^2 / 2} p_j, whose Gram kernel gram_matrix is the
-one the solver's J kernel (optimize.coherent_information_diagonal)
-diagonalizes. The independent oracle reads Omega's spectrum from the
-environment table fock.environment_amplitudes itself, without
-gram_matrix: the squared singular values of the K x (N+1) matrix
-C diag(sqrt p), so no K x K matrix is built.
+Its nonzero spectrum is that of sqrt(p_i) G[i, j] sqrt(p_j), G the Gram
+kernel gram_matrix, which the solver's J kernel
+(optimize.coherent_information_diagonal) diagonalizes. The brute-force
+oracle reads it from fock.environment_amplitudes instead, by one thin SVD
+of C diag(sqrt p), so no K x K matrix is built. The package exports only
+InputDistribution; the benchmark reaches the rest through this module.
 """
 
 from __future__ import annotations
@@ -51,7 +50,10 @@ class InputDistribution:
 
 
 def gram_matrix(params: DephasingParams, indices) -> np.ndarray:
-    """Gram kernel e^{-gamma (i-j)^2 / 2} over the given Fock indices."""
+    """Gram kernel e^{-gamma (i-j)^2 / 2} over the given Fock indices.
+
+    Not exported by the package: the benchmark's tracer wraps it here by name.
+    """
     idx = np.asarray(indices, dtype=float)
     d = np.subtract.outer(idx, idx)
     return np.exp(-params.gamma * d ** 2 / 2.0)
@@ -63,10 +65,14 @@ def entropy_bruteforce_oracle(p: InputDistribution, params: DephasingParams) -> 
     C is fock.environment_amplitudes, whose every coherent state misses at
     most fock.DEFAULT_RESIDUAL_BOUND of its mass; fock.environment_entropy_bits
     takes Omega's spectrum by one thin SVD, independent of gram_matrix.
+    Not exported by the package: the benchmark's tracer wraps it here by name.
     """
     return fock.environment_entropy_bits(p.p, params)
 
 
 def shannon_entropy(p: InputDistribution) -> float:
-    """-sum p log2 p with 0 log 0 = 0, in bits."""
+    """-sum p log2 p with 0 log 0 = 0, in bits.
+
+    Not exported by the package: the benchmark's tests call it here.
+    """
     return fock.shannon_bits(p.p)

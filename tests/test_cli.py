@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,21 @@ class TestCapacityCommand:
         rec = parse_record(capsys.readouterr().out)
         assert rc == 2
         assert rec["converged"] == "false"
+
+    def test_singular_newton_system_exits_two(self):
+        # the bordered Newton system is singular at N 16, gamma 132: the point
+        # is returned uncertified (exit 2), not raised as a traceback
+        src = Path(fock.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "dephcap.cli", "capacity", "--n", "16", "--gamma", "132"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert parse_record(proc.stdout)["converged"] == "false"
+        assert "Traceback" not in proc.stderr
 
     def test_certified_record_reports_gap(self, capsys):
         rc = main(["capacity", "--n", "8", "--gamma", "1"])
@@ -345,6 +361,19 @@ class TestSweepCommand:
         out = tmp_path / "ok.csv"
         rc = main(["sweep", "--gammas", "0.5", "--ns", "1", "--output", str(out)])
         assert rc == 0
+
+    def test_singular_newton_points_are_solved_rows(self, tmp_path):
+        # points whose Newton system is singular, (3, 300), (16, 132), (24, 150),
+        # (32, 200) and (64, 300), are solved rows of the grid, not failures
+        out = tmp_path / "far.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["sweep", "--gammas", "132,150,200,300", "--ns", "3,16,24,32,64",
+                       "--output", str(out), "--format", "json"])
+        assert rc == 0
+        results = json.loads(out.read_text())["results"]
+        assert len(results) == 20
+        assert all(r["error"] is None and r["converged"] is False for r in results)
 
     def test_point_failure_row(self, tmp_path, monkeypatch):
         real = optimize.maximize_coherent_information

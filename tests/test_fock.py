@@ -211,7 +211,7 @@ class TestKraus:
         # so a 1e-20 bound is never met: the table must refuse rather than
         # return a short Kraus sum
         monkeypatch.setattr(fock, "DEFAULT_RESIDUAL_BOUND", 1e-20)
-        fock._environment_table.cache_clear()
+        environment_amplitudes.cache_clear()
         with pytest.raises(TruncationError, match="residual"):
             environment_amplitudes(DephasingParams(1.0), 32)
 
@@ -243,7 +243,7 @@ class TestKraus:
         # must raise after one pass, not grow toward a larger table first, and a
         # failed build is not cached, so every call builds and raises
         monkeypatch.setattr(fock, "DEFAULT_RESIDUAL_BOUND", 1e-20)
-        fock._environment_table.cache_clear()
+        environment_amplitudes.cache_clear()
         tracemalloc.start()
         try:
             for _ in range(2):
@@ -252,7 +252,7 @@ class TestKraus:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        info = fock._environment_table.cache_info()
+        info = environment_amplitudes.cache_info()
         assert (info.misses, info.currsize) == (2, 0)
         assert peak < 64e6
 
@@ -262,7 +262,7 @@ class TestKraus:
         # traces little beyond the table itself
         tracemalloc.start()
         try:
-            table = fock._environment_table.__wrapped__(1.0, 128)
+            table = environment_amplitudes.__wrapped__(DephasingParams(1.0), 128)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -386,13 +386,6 @@ class TestSemigroupAndCovariance:
         composed, direct = compose(0.0, 1.3, rho)
         assert np.abs(composed.entries - direct.entries).max() == 0.0
 
-    @pytest.mark.parametrize("g1,g2", [(0.5, 0.5), (2.0, 3.0)])
-    def test_rates_add(self, g1, g2):
-        rng = np.random.default_rng(9)
-        rho = random_density_matrix(5, rng)
-        composed, direct = compose(g1, g2, rho)
-        assert np.abs(composed.entries - direct.entries).max() < 1e-14
-
     @settings(max_examples=30, deadline=None)
     @given(
         g1=st.floats(0.0, 4.0, allow_nan=False),
@@ -413,16 +406,6 @@ class TestSemigroupAndCovariance:
         out = phase_rotate(plus_state(), math.pi)
         assert out.entries[0, 1].real == pytest.approx(-0.5, abs=1e-15)
         assert np.array_equal(out.diagonal(), plus_state().diagonal())
-
-    def test_channel_is_phase_covariant(self):
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            rho = random_density_matrix(5, rng)
-            theta = float(rng.uniform(0, 2 * math.pi))
-            params = DephasingParams(float(rng.uniform(0, 3)))
-            a = apply_dephasing(phase_rotate(rho, theta), params)
-            b = phase_rotate(apply_dephasing(rho, params), theta)
-            assert np.abs(a.entries - b.entries).max() < 1e-14
 
 
 class TestComplementaryOutput:

@@ -395,6 +395,18 @@ class TestMaximizeCoherentInformation:
         assert c_n <= math.cos(math.pi / (n_max + 2)) * slack
         assert c_n == pytest.approx(c_table, rel=1e-9)
 
+    @pytest.mark.parametrize("n_max, gamma", [(3, 300.0), (16, 132.0), (24, 150.0),
+                                              (32, 200.0), (64, 300.0)])
+    def test_singular_newton_system_ends_uncertified(self, n_max, gamma):
+        # far past certification the folded Hessian's tangent part rounds
+        # away and the bordered system is singular: the ascent stops there
+        # as at a direction that does not ascend, and the point is returned
+        res = maximize_coherent_information(n_max, DephasingParams(gamma))
+        p = res.p_opt.p
+        assert not res.converged
+        assert 0.0 <= res.q_bits <= math.log2(n_max + 1)
+        assert np.array_equal(p, p[::-1])
+
     def test_value_dominates_two_point_bound(self):
         for gamma in (0.25, 1.0, 2.0):
             res = maximize_coherent_information(3, DephasingParams(gamma))
