@@ -3,13 +3,15 @@
 The truncated capacity is the maximum of J(p) = H(p) - S(A(p)) over
 probability vectors p on Fock levels 0..N. J is concave (the channel is
 degradable) and its maximizer is a smooth interior point, so a damped
-Newton ascent with the exact Hessian from the symmetric sin^2 start (whose
-large-gamma value is within 1e-6 of the optimum's at N 128) reaches the
-global optimum in a few steps. Concavity also bounds the
-distance to that optimum by the duality gap max_m dJ/dp_m - p.grad J, and
-the ascent stops, certified, once the gap is at most GAP_RTOL of J. J and
-its gradient are sums of nonnegative terms, so they keep their relative
-accuracy where J is far below 1.
+Newton ascent with the exact Hessian reaches the global optimum in a few
+steps. It starts at the maximizer p_c of c(p) = lim J(p) e^gamma, the
+large-gamma limit in which the capacity decays like e^-gamma
+(arXiv 2007.03897). p_c hardly moves with gamma from gamma 1 on, and the
+same Newton loop finds it on c in O(N) work per evaluation. Concavity also
+bounds the distance to that optimum by the duality gap
+max_m dJ/dp_m - p.grad J, and the ascent stops, certified, once the gap is
+at most GAP_RTOL of J. J and its gradient are sums of nonnegative terms,
+so they keep their relative accuracy where J is far below 1.
 """
 
 from __future__ import annotations
@@ -161,6 +163,15 @@ def _log_divided_difference(x, y):
     return np.log1p(u) / u / lo
 
 
+def _c_value(weights):
+    """c(p) = sum_m p_m p_{m+1} L(p_m, p_{m+1}), the limit of J(p) e^gamma as gamma -> inf, in nats.
+
+    A term at a zero weight is 0.
+    """
+    x, y = weights[:-1], weights[1:]
+    return float((x * y * _log_divided_difference(x, y)).sum())
+
+
 def _mirror(x):
     """x at the levels N - s for s = 0..h-1, h = ceil((N+1)/2), along the last axis.
 
@@ -213,6 +224,66 @@ def _hessian(weights, a, v):
     return hess
 
 
+# Taylor coefficients of g'(1 + u) and g''(1 + u) in u, g(t) = t ln t / (t - 1),
+# one row per power of u
+_G_SERIES = np.array([[(-1) ** j / (j + 2), -((-1) ** j) * (j + 1) / (j + 3)] for j in range(16)])
+
+
+def _g_derivatives(u):
+    """g'(1 + u) and g''(1 + u) elementwise, for g(t) = t ln t / (t - 1) and u > -1.
+
+    The closed forms g' = (u - log1p u) / u^2 and
+    g'' = (u^2 / (1 + u) - 2 (u - log1p u)) / u^3 cancel to a relative
+    error of about eps / |u|, so below |u| 0.05 both are the first 16 terms
+    of their power series, sum_j (-u)^j / (j + 2) and
+    -sum_j (-u)^j (j + 1) / (j + 3), whose tails are below 0.05^16 = 2e-21.
+    """
+    near = np.abs(u) < 0.05
+    v = np.where(near, 1.0, u)
+    r = v - np.log1p(v)
+    d1 = r / (v * v)
+    d2 = (v * v / (1.0 + v) - 2.0 * r) / v ** 3
+    d1[near], d2[near] = (np.vander(u[near], len(_G_SERIES), increasing=True) @ _G_SERIES).T
+    return d1, d2
+
+
+def _c_objective_and_gradient(weights):
+    """(c, unprojected dc/dp, g'' at each pair's two ratios) in nats, in O(N) work.
+
+    Each neighbour pair (x, y) adds f(x, y) = x y L(x, y) = x g(y / x) to c.
+    f is symmetric, so f_y = g'(y / x) and f_x = g'(x / y): dc/dp_m sums
+    g'(p_n / p_m) over the neighbours n of m. The ratios enter as
+    u = (p_n - p_m) / p_m, in which close neighbours subtract exactly. c is
+    homogeneous of degree 1, so c = p.grad c, as J = p.grad J.
+    """
+    x, y = weights[:-1], weights[1:]
+    d1, d2 = _g_derivatives(np.concatenate([(y - x) / x, (x - y) / y]))
+    grad = np.zeros(weights.size)
+    grad[1:] += d1[: x.size]
+    grad[:-1] += d1[x.size :]
+    return _c_value(weights), grad, d2
+
+
+def _c_hessian(weights, d2):
+    """P^T H P for c: H is tridiagonal, with f_yy = g''(y / x) / x and f_xx = g''(x / y) / y.
+
+    Each pair's block is negative semidefinite (g'' < 0) and, as f is
+    homogeneous of degree 1, annihilates (x, y): f_xy = -y f_yy / x.
+    So H p = 0, as for J's Hessian.
+    """
+    x, y = weights[:-1], weights[1:]
+    f_yy = d2[: x.size] / x
+    diag = np.zeros(weights.size)
+    diag[1:] += f_yy
+    diag[:-1] += d2[x.size :] / y
+    off = -y * f_yy / x
+    hess = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    return _fold(_fold(hess).T)
+
+
+_C_KERNEL = (_c_objective_and_gradient, _c_hessian)
+
+
 def _fd_gradient(weights, gamma):
     """Central differences of the kernel's J in bits, the check on objective_gradient.
 
@@ -256,37 +327,44 @@ def objective_gradient(p: InputDistribution, params: DephasingParams) -> np.ndar
 # ---------------------------------------------------------------------------
 # Newton ascent
 
-def _newton_ascent(w: np.ndarray, gamma: float):
+def _newton_ascent(w: np.ndarray, kernel):
     """Damped Newton ascent on the simplex with the exact Hessian.
 
-    Returns (p, J, gap, iterations) in nats. J is invariant under
-    m -> N - m and the start is symmetric, so the Newton direction is
-    mirror-symmetric: each step solves the bordered system
-    [P^T H P  e; e^T  0], e = P^T 1, for the half coordinates s of the
-    direction d = P s with sum(d) = 0. Its right-hand side is -P^T g with
-    g = dJ/dp - J, whose maximum is the gap. The border absorbs the shift,
-    but without it dJ/dp's constant part, of order ln N, swamps the tangent
-    part in the solve and in the ascent test g.d > 0 near the optimum.
-    The move is multiplicative, p o exp(t d / p) normalized, so weights stay
-    positive and exact levels such as the uniform optimum at gamma = 0 are
-    reached; t starts at min(1, 4 / max|d / p|), so no weight changes by
-    more than a factor e^4, and halves until J strictly increases.
+    kernel is the pair (evaluate, hessian) of a concave objective F that is
+    homogeneous of degree 1 in the weights: evaluate(w) returns
+    (F, unprojected dF/dp, *state) and hessian(w, *state) the folded
+    Hessian P^T H P. It is J's, (_objective_and_gradient at one gamma,
+    _hessian), or the large-gamma limit c's, _C_KERNEL. Returns
+    (p, F, gap, iterations). F is invariant under m -> N - m and the start
+    is symmetric, so the Newton direction is mirror-symmetric: each step
+    solves the bordered system [P^T H P  e; e^T  0], e = P^T 1, for the half
+    coordinates s of the direction d = P s with sum(d) = 0. Its right-hand
+    side is -P^T g with g = dF/dp - F, whose maximum is the gap. The border
+    absorbs the shift, but without it dF/dp's constant part, of order ln N
+    for J, swamps the tangent part in the solve and in the ascent test
+    g.d > 0 near the optimum. The move is multiplicative, p o exp(t d / p)
+    normalized, so weights stay positive and exact levels such as the
+    uniform optimum at gamma = 0 are reached; t starts at
+    min(1, 4 / max|d / p|), so no weight changes by more than a factor e^4,
+    and halves until F strictly increases.
 
-    The loop stops once the gap max_m dJ/dp_m - p.grad J is at most
-    GAP_RTOL * J, after MAX_NEWTON_STEPS steps (a safety stop: no point
+    The loop stops once the gap max_m dF/dp_m - p.grad F is at most
+    GAP_RTOL * F, after MAX_NEWTON_STEPS steps (a safety stop: no J solve
     on N {1, 2, 3, 4, 8, 16, 24, 32, 64, 128} x gamma {0, 0.5, ..., 40}
-    takes more than 26, N 3 at gamma 34.5), when the bordered system is
-    singular or d is not an ascent direction (the Hessian's tangent part is
-    lost to rounding), or when no step that still changes p increases J.
+    takes more than 2, N 2 at gamma 0.5, and no c solve on N 1..256, 512
+    or 1024 more than 3), when the bordered system is singular or d is not
+    an ascent direction (the Hessian's tangent part is lost to rounding),
+    or when no step that still changes p increases F.
     """
-    value, grad, a, v = _objective_and_gradient(w, gamma)
+    evaluate, hessian = kernel
+    value, grad, *state = evaluate(w)
     half = (w.size + 1) // 2
     kkt = np.zeros((half + 1, half + 1))
     kkt[-1, :-1] = kkt[:-1, -1] = _fold(np.ones(w.size))
     rhs = np.zeros(half + 1)
     iterations = 0
     while (g := grad - value).max() > GAP_RTOL * value and iterations < MAX_NEWTON_STEPS:
-        kkt[:-1, :-1] = _hessian(w, a, v)
+        kkt[:-1, :-1] = hessian(w, *state)
         rhs[:-1] = -_fold(g)
         try:
             s = np.linalg.solve(kkt, rhs)[:-1]
@@ -301,26 +379,27 @@ def _newton_ascent(w: np.ndarray, gamma: float):
         while t * reach > _EPS:
             w_new = w * np.exp(t * rate)
             w_new /= w_new.sum()
-            trial = _objective_and_gradient(w_new, gamma)
+            trial = evaluate(w_new)
             if trial[0] > value:
                 break
             t *= 0.5
         else:
             break
-        w, (value, grad, a, v) = w_new, trial
+        w, (value, grad, *state) = w_new, trial
         iterations += 1
     return w, value, float(g.max()), iterations
 
 
 def _start_weights(n_max: int) -> np.ndarray:
-    """p_m proportional to cos^2(pi (m - N/2) / (N+2)) = sin^2(pi (m+1) / (N+2)).
+    """The large-gamma optimum p_c = argmax c, by _newton_ascent on c from sin^2.
 
-    The square of the path graph's ground state, which nearly maximizes the
-    large-gamma limit c(p) of J e^gamma. The cos^2 form is bitwise
-    mirror-symmetric, and uniform at N = 1.
+    The Newton start is p_m proportional to cos^2(pi (m - N/2) / (N+2)) =
+    sin^2(pi (m+1) / (N+2)), the square of the path graph's ground state,
+    which nearly maximizes c. The cos^2 form is bitwise mirror-symmetric,
+    and uniform at N = 1, so p_c is too.
     """
     w = np.cos(math.pi * (np.arange(n_max + 1) - n_max / 2.0) / (n_max + 2)) ** 2
-    return w / w.sum()
+    return _newton_ascent(w / w.sum(), _C_KERNEL)[0]
 
 
 def default_sigma(n_max: int) -> float:
@@ -348,19 +427,21 @@ def maximize_coherent_information(n_max: int, params: DephasingParams) -> Capaci
     """Maximize J over the simplex on Fock levels 0..N.
 
     Concavity makes every local maximizer globally optimal, so one Newton
-    ascent from the symmetric sin^2 start _start_weights(N) is run;
-    iterations counts its steps. converged means the duality gap is
+    ascent from the large-gamma optimum _start_weights(N) is run;
+    iterations counts its J steps. converged means the duality gap is
     at most GAP_RTOL of J and J is accurate to GAP_RTOL. From gamma of
-    about 30 on (later for small N), the Hessian's tangent part, of order
-    e^-gamma, falls below its rounding error; the ascent then stops at the
-    first direction that does not ascend and the result comes back
-    unconverged. eigh resolves the e^{-gamma/2} couplings of M to about
-    eps, so J's relative accuracy is about 50 eps e^{gamma/2}; past gamma
-    41.24 that exceeds GAP_RTOL and no point is certified, whatever its gap.
+    about 30 on, the Hessian's tangent part, of order e^-gamma, falls
+    below its rounding error, but there the start is already certified:
+    J e^gamma differs from c by O(e^-gamma), and every N up to 128 takes 0
+    steps at gamma 16 to 40. eigh resolves the e^{-gamma/2} couplings of M
+    to about eps, so J's relative accuracy is about 50 eps e^{gamma/2};
+    past gamma 41.24 that exceeds GAP_RTOL and no point is certified,
+    whatever its gap.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    w, value, gap, iterations = _newton_ascent(_start_weights(n_max), params.gamma)
+    kernel = (lambda w: _objective_and_gradient(w, params.gamma), _hessian)
+    w, value, gap, iterations = _newton_ascent(_start_weights(n_max), kernel)
     return CapacityResult(
         gamma=params.gamma,
         n_max=n_max,
@@ -429,9 +510,7 @@ def asymptotic_capacity(p: InputDistribution, params: DephasingParams) -> float:
             RuntimeWarning,
             stacklevel=2,
         )
-    w = p.p
-    terms = w[:-1] * w[1:] * _log_divided_difference(w[:-1], w[1:])
-    return math.exp(-params.gamma) * float(terms.sum()) / _LN2
+    return math.exp(-params.gamma) * _c_value(p.p) / _LN2
 
 
 # ---------------------------------------------------------------------------
