@@ -390,16 +390,36 @@ def _newton_ascent(w: np.ndarray, kernel):
     return w, value, float(g.max()), iterations
 
 
+# certified c optima p_c by N, oldest first (see _start_weights)
+_START_CACHE_SIZE = 64
+_start_cache: dict[int, np.ndarray] = {}
+
+
 def _start_weights(n_max: int) -> np.ndarray:
-    """The large-gamma optimum p_c = argmax c, by _newton_ascent on c from sin^2.
+    """The large-gamma optimum p_c = argmax c, read-only, by _newton_ascent on c from sin^2.
 
     The Newton start is p_m proportional to cos^2(pi (m - N/2) / (N+2)) =
     sin^2(pi (m+1) / (N+2)), the square of the path graph's ground state,
     which nearly maximizes c. The cos^2 form is bitwise mirror-symmetric,
     and uniform at N = 1, so p_c is too.
+
+    p_c depends on N only, so it is solved once per N per process: a solve
+    whose gap is at most GAP_RTOL * c is kept in _start_cache (at most
+    _START_CACHE_SIZE values of N, the oldest evicted first) and returned,
+    the same array, on every later call. Only a certified p_c is kept, and
+    the loop stops at the first certified step, so a kept value is bitwise
+    the one an uncapped solve returns whatever MAX_NEWTON_STEPS was.
     """
+    if (cached := _start_cache.get(n_max)) is not None:
+        return cached
     w = np.cos(math.pi * (np.arange(n_max + 1) - n_max / 2.0) / (n_max + 2)) ** 2
-    return _newton_ascent(w / w.sum(), _C_KERNEL)[0]
+    w, value, gap, _ = _newton_ascent(w / w.sum(), _C_KERNEL)
+    w.setflags(write=False)
+    if gap <= GAP_RTOL * value:
+        if len(_start_cache) >= _START_CACHE_SIZE:
+            del _start_cache[next(iter(_start_cache))]
+        _start_cache[n_max] = w
+    return w
 
 
 def default_sigma(n_max: int) -> float:
@@ -427,8 +447,9 @@ def maximize_coherent_information(n_max: int, params: DephasingParams) -> Capaci
     """Maximize J over the simplex on Fock levels 0..N.
 
     Concavity makes every local maximizer globally optimal, so one Newton
-    ascent from the large-gamma optimum _start_weights(N) is run;
-    iterations counts its J steps. converged means the duality gap is
+    ascent from the large-gamma optimum _start_weights(N) is run, which is
+    solved on the first call at each N and reused after; iterations counts
+    its J steps. converged means the duality gap is
     at most GAP_RTOL of J and J is accurate to GAP_RTOL. From gamma of
     about 30 on, the Hessian's tangent part, of order e^-gamma, falls
     below its rounding error, but there the start is already certified:
@@ -535,7 +556,8 @@ def _sweep_point(n_max: int, gamma: float) -> CapacityResult:
 def capacity_sweep(gammas, n_maxes) -> list[CapacityResult]:
     """One CapacityResult per (N, gamma) pair, ordered by (N, gamma).
 
-    Points are solved one after another; each result depends only on its
+    Points are solved one after another, N-outer, and the start p_c is
+    solved at most once per distinct N; each result depends only on its
     (N, gamma).
     """
     gamma_grid = [float(g) for g in gammas]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dephcap import fock
+from dephcap import fock, optimize
 from dephcap.fock import DephasingParams, shannon_bits
 from dephcap.optimize import (
     _C_KERNEL,
@@ -297,6 +297,58 @@ class TestLargeGammaKernel:
         assert np.array_equal(p, p[::-1])
         assert grad.max() - value <= 1e-5 * value
         assert _newton_ascent(sin2_weights(n_max), _C_KERNEL)[3] <= 3
+
+
+class TestStartCache:
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        optimize._start_cache.clear()
+        yield
+        optimize._start_cache.clear()
+
+    def test_capped_solves_leave_later_solves_bitwise(self, monkeypatch):
+        # MAX_NEWTON_STEPS also caps the c solve, which takes 3 steps at N 64:
+        # caps 0 and 1 leave p_c uncertified, and it must not be kept
+        params = DephasingParams(0.25)
+        cold = maximize_coherent_information(64, params)
+        optimize._start_cache.clear()
+        for cap, kept in ((0, False), (1, False), (3, True)):
+            monkeypatch.setattr(optimize, "MAX_NEWTON_STEPS", cap)
+            maximize_coherent_information(64, params)
+            assert (64 in optimize._start_cache) is kept, cap
+        monkeypatch.undo()
+        warm = maximize_coherent_information(64, params)
+        assert warm.q_bits == cold.q_bits
+        assert warm.gap == cold.gap
+        assert warm.iterations == cold.iterations
+        assert warm.p_opt.p.tobytes() == cold.p_opt.p.tobytes()
+
+    def test_start_is_shared_read_only_c_optimum(self):
+        # the cos^2 form of the sin^2 profile is the start _start_weights names
+        w = np.cos(math.pi * (np.arange(65) - 32.0) / 66) ** 2
+        p_c = _start_weights(64)
+        assert _start_weights(64) is p_c
+        assert p_c.tobytes() == _newton_ascent(w / w.sum(), _C_KERNEL)[0].tobytes()
+        with pytest.raises(ValueError):
+            p_c[0] = 0.0
+
+    def test_sweep_solves_c_once_per_n(self, monkeypatch):
+        sizes = []
+        ascent = optimize._newton_ascent
+
+        def spy(w, kernel):
+            if kernel is _C_KERNEL:
+                sizes.append(w.size - 1)
+            return ascent(w, kernel)
+
+        monkeypatch.setattr(optimize, "_newton_ascent", spy)
+        capacity_sweep([0.25, 0.5, 1.0, 2.0, 4.0, 16.0, 40.0], [16, 4, 8])
+        assert sizes == [4, 8, 16]
+
+    def test_cache_keeps_the_newest_sizes(self):
+        for n in range(1, optimize._START_CACHE_SIZE + 6):
+            _start_weights(n)
+        assert list(optimize._start_cache) == list(range(6, optimize._START_CACHE_SIZE + 6))
 
 
 class TestObjectiveAgainstHighPrecision:
