@@ -5,6 +5,7 @@ __version__ = "0.1.0"
 from .fock import (
     DephasingParams,
     FockDensityMatrix,
+    InputDistribution,
     TruncationError,
     apply_dephasing,
     coherent_information,
@@ -15,7 +16,6 @@ from .fock import (
     phase_rotate,
     random_density_matrix,
 )
-from .replica import InputDistribution
 from .optimize import (
     CapacityResult,
     TwoPointBound,

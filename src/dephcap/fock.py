@@ -2,8 +2,11 @@
 
 The channel multiplies the Fock-basis matrix element rho[m, n] by
 exp(-gamma (m-n)^2 / 2): populations are untouched, coherences decay.
-Besides that closed form, this module carries every equivalent
-representation used for cross-validation: a truncated Kraus sum, the
+That factor is the overlap of the dilation's coherent environment
+states, so gram_matrix is both the closed form and the solver's Gram
+kernel; the solver's input type, InputDistribution, sits next to
+FockDensityMatrix. Besides the closed form, this module carries every
+equivalent representation used for cross-validation: a truncated Kraus sum, the
 RK4 propagator of the dephasing master equation (its step count derived
 from gamma and the dimension), the complementary channel onto coherent
 environment states, and a periodic trapezoid rule for the
@@ -37,6 +40,7 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 DEFAULT_RESIDUAL_BOUND = 1e-12
+SUM_TOL = 1e-12
 
 
 class TruncationError(ValueError):
@@ -111,6 +115,33 @@ class FockDensityMatrix:
         return max(shannon_bits(self.spectrum), 0.0)
 
 
+@dataclass(frozen=True, eq=False)
+class InputDistribution:
+    """Probability vector p_0..p_N over Fock states |0>..|N>, read-only; == is identity."""
+
+    p: np.ndarray
+
+    def __post_init__(self):
+        w = np.array(self.p, dtype=float)
+        if w.ndim != 1 or w.size == 0:
+            raise ValueError("p must be a nonempty 1-D vector")
+        if not np.isfinite(w).all():
+            raise ValueError("p must be finite")
+        if w.min() < 0.0:
+            raise ValueError(f"p must be nonnegative, min entry {w.min():.3e}")
+        if abs(w.sum() - 1.0) > SUM_TOL:
+            raise ValueError(f"p must sum to 1 within {SUM_TOL:.0e}, got {w.sum():.15g}")
+        w.setflags(write=False)
+        object.__setattr__(self, "p", w)
+
+    @property
+    def dim(self) -> int:
+        return self.p.size
+
+    def mean_energy(self) -> float:
+        return float(np.arange(self.dim) @ self.p)
+
+
 # ---------------------------------------------------------------------------
 # state constructors
 
@@ -164,15 +195,21 @@ def phi1p(u) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # channel representations
 
-def _diff_sq(dim: int) -> np.ndarray:
-    n = np.arange(dim)
-    return np.subtract.outer(n, n) ** 2
+def gram_matrix(params: DephasingParams, levels) -> np.ndarray:
+    """The overlaps <sqrt(gamma) i|sqrt(gamma) j> = e^{-gamma (i-j)^2 / 2} over the given Fock levels.
+
+    These are the dilation's environment states, so this one matrix is the
+    closed form of the channel (apply_dephasing) and the Gram kernel G whose
+    weighted form sqrt(p_i) G[i, j] sqrt(p_j) the solver diagonalizes.
+    """
+    idx = np.asarray(levels, dtype=float)
+    d = np.subtract.outer(idx, idx)
+    return np.exp(-params.gamma * d ** 2 / 2.0)
 
 
 def apply_dephasing(rho: FockDensityMatrix, params: DephasingParams) -> FockDensityMatrix:
     """Closed form of the channel: rho[m,n] -> e^{-gamma (m-n)^2 / 2} rho[m,n]."""
-    factors = np.exp(-params.gamma * _diff_sq(rho.dim) / 2.0)
-    return FockDensityMatrix(factors * rho.entries)
+    return FockDensityMatrix(gram_matrix(params, np.arange(rho.dim)) * rho.entries)
 
 
 # Stirling series of delta(k) = ln k! - (k + 1/2) ln k + k - ln(2 pi)/2 from
@@ -313,10 +350,10 @@ def evolve_master_equation(rho: FockDensityMatrix, params: DephasingParams) -> F
     form. The step count comes from gamma and the dimension (_rk4_steps),
     inside the stability interval of the stiffest mode.
     """
-    dim = rho.dim
-    steps = _rk4_steps(params.gamma, dim)
+    steps = _rk4_steps(params.gamma, rho.dim)
     # elementwise action of the generator: -(j-k)^2 / 2 * rho[j, k]
-    z = (params.gamma / steps) * (-0.5 * _diff_sq(dim))
+    n = np.arange(rho.dim)
+    z = (params.gamma / steps) * (-0.5 * np.subtract.outer(n, n) ** 2)
     # R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 in Horner form
     r = 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
     return FockDensityMatrix(r ** steps * rho.entries)

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock, replica
-from .fock import DephasingParams
-from .replica import InputDistribution
+from .fock import DephasingParams, InputDistribution
 
 _LN2 = math.log(2.0)
 
@@ -125,6 +124,7 @@ def _objective_and_gradient(weights, gamma, levels=None):
     """
     if levels is None:
         levels = np.arange(weights.size)
+    # fock.gram_matrix, reached through replica, where the benchmark traces it
     g_kernel = replica.gram_matrix(DephasingParams(gamma), levels)
     sq = np.sqrt(weights)
     a, v = np.linalg.eigh(sq[:, None] * g_kernel * sq[None, :])
@@ -138,7 +138,11 @@ def coherent_information_diagonal(p: InputDistribution, params: DephasingParams)
     """J(diag p) = H(p) - S(complementary output), in bits.
 
     Diagonal inputs are channel fixed points, so the channel-output entropy
-    is the Shannon entropy of p. J is evaluated by the cancellation-free
+    is the Shannon entropy of p. The complementary output
+    Omega = sum_m p_m |sqrt(gamma) m><sqrt(gamma) m| has the nonzero
+    spectrum of M = D^{1/2} G D^{1/2}, G = fock.gram_matrix the overlaps of
+    its coherent states, so S is read off M's (N+1) eigenvalues and no
+    K x K matrix is built. J is evaluated by the cancellation-free
     kernel on the levels whose weight is above 1e-300, at their own Fock
     indices: below 4e-306, phi1p(u) at u = (a - p) / p overflows, and
     together the dropped levels add less than 1e-290 to J.
@@ -352,9 +356,10 @@ def _newton_ascent(w: np.ndarray, kernel):
     GAP_RTOL * F, after MAX_NEWTON_STEPS steps (a safety stop: no J solve
     on N {1, 2, 3, 4, 8, 16, 24, 32, 64, 128} x gamma {0, 0.5, ..., 40}
     takes more than 2, N 2 at gamma 0.5, and no c solve on N 1..256, 512
-    or 1024 more than 3), when the bordered system is singular or d is not
-    an ascent direction (the Hessian's tangent part is lost to rounding),
-    or when no step that still changes p increases F.
+    or 1024 more than 3), when the bordered system is singular (solve
+    raises, or returns a non-finite direction, as at N 43, gamma 150) or d
+    is not an ascent direction (the Hessian's tangent part is lost to
+    rounding), or when no step that still changes p increases F.
     """
     evaluate, hessian = kernel
     value, grad, *state = evaluate(w)
@@ -369,6 +374,8 @@ def _newton_ascent(w: np.ndarray, kernel):
         try:
             s = np.linalg.solve(kkt, rhs)[:-1]
         except np.linalg.LinAlgError:
+            break
+        if not np.isfinite(s).all():  # singular to rounding, though LAPACK did not raise
             break
         d = np.concatenate([s, s[: w.size // 2][::-1]])
         if not g @ d > 0.0:

@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from dephcap import cli, validate
-from dephcap.fock import DephasingParams, shannon_bits
+from dephcap.fock import DephasingParams, InputDistribution, shannon_bits
 from dephcap.optimize import (
     _fd_gradient,
     ansatz_distribution,
@@ -20,7 +20,6 @@ from dephcap.optimize import (
     maximize_over_ansatz,
     objective_gradient,
 )
-from dephcap.replica import InputDistribution
 
 LN2 = math.log(2.0)
 

@@ -310,6 +310,8 @@ class TestSweepCommand:
             ("gamma = 1.0\nn = 1", ["--gammas", ""]),
             (None, ["--gammas", "1", "--ns", "1", "--output", ""]),
             (None, ["--config", "", "--gammas", "1", "--ns", "1"]),
+            ("gamma = 1.0\nn = 0", []),
+            ("gamma = 1.0\nn = 1\n[output]\nformat = xml", []),
         ],
         ids=[
             "file-negative", "file-inf", "file-nan",
@@ -317,6 +319,7 @@ class TestSweepCommand:
             "flag-linspace-without-start", "flag-gammas-with-linspace",
             "file-gamma-with-linspace", "file-stop-without-start", "file-incomplete-linspace",
             "empty-gammas-over-file", "empty-output", "empty-config",
+            "file-n-zero", "file-format-xml",
         ],
     )
     def test_invalid_grid_exits_one(self, tmp_path, capsys, monkeypatch, grid, flags):
@@ -523,9 +526,12 @@ class TestValidateCommand:
             (optimize, "coherent_information_diagonal",
              lambda real: lambda p, params: real(p, params) * (1.0 + 1e-6),
              "replica_vs_bruteforce"),
+            (fock, "gram_matrix", lambda real: lambda params, idx: real(params, idx) ** 1.01,
+             "representation_equivalence"),
         ],
         ids=["skewed-gram-kernel", "skewed-kraus", "skewed-environment-table", "rates-do-not-add",
-             "mixes-in-superposition", "rewards-coherence", "scaled-j-kernel"],
+             "mixes-in-superposition", "rewards-coherence", "scaled-j-kernel",
+             "skewed-closed-form-kernel"],
     )
     def test_corrupted_code_fails_its_suite(self, capsys, monkeypatch, module, name, fault, suite):
         # negative controls: the acceptance tests trust these suites, so each

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from dephcap import fock, optimize
-from dephcap.fock import DephasingParams, shannon_bits
+from dephcap.fock import DephasingParams, InputDistribution, shannon_bits
 from dephcap.optimize import (
     _C_KERNEL,
     _c_hessian,
@@ -26,7 +27,6 @@ from dephcap.optimize import (
     objective_gradient,
     two_point_lower_bound,
 )
-from dephcap.replica import InputDistribution
 
 LN2 = math.log(2.0)
 
@@ -532,6 +532,49 @@ class TestMaximizeCoherentInformation:
             bound = two_point_lower_bound(DephasingParams(gamma), 1)
             assert res.q_bits >= bound.value_bits - 1e-9
 
+    def test_non_finite_newton_direction_ends_uncertified(self):
+        # here the bordered system is finite, but LAPACK's solve returns a
+        # non-finite direction on the second step without raising: the ascent
+        # stops as at a singular system, and no warning leaks
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = maximize_coherent_information(43, DephasingParams(150.0))
+        assert not res.converged
+        assert 0.0 <= res.q_bits <= math.log2(44)
+
+
+class TestLineSearch:
+    # from p_c the step is halved only where J is rounding noise, gamma >= 60
+
+    @staticmethod
+    def ascent(n_max, gamma):
+        """(start weights, result of _newton_ascent, J at every evaluation) on J at gamma."""
+        values = []
+
+        def evaluate(w):
+            out = _objective_and_gradient(w, gamma)
+            values.append(out[0])
+            return out
+
+        start = _start_weights(n_max)
+        return start, _newton_ascent(start, (evaluate, _hessian)), values
+
+    def test_halves_until_the_objective_increases(self):
+        _, (w, value, gap, iterations), values = self.ascent(15, 80.0)
+        # one evaluation at the start and one per accepted step: the rest were rejected
+        assert len(values) - 1 - iterations > 0
+        assert value >= values[0]
+        assert np.isfinite(w).all() and math.isfinite(value) and math.isfinite(gap)
+
+    def test_stops_when_no_step_changes_p_upward(self):
+        # the direction is rounding-sized: every trial that still moves p
+        # lowers J, so the ascent returns its start unchanged
+        start, (w, value, _, iterations), values = self.ascent(14, 80.0)
+        assert iterations == 0
+        assert len(values) > 1
+        assert all(v <= values[0] for v in values[1:])
+        assert np.array_equal(w, start) and value == values[0]
+
 
 class TestCapacityResultValidation:
     def test_rejects_negative_q(self):
@@ -616,6 +659,33 @@ class TestMaximizeOverAnsatz:
         assert two_point_lower_bound(params, 1).value_bits <= q <= q_inf_bits(gamma)
         fit = default_sigma(n_max)
         assert abs(sigma - fit) <= 0.25 * fit
+
+
+class TestOptimumShape:
+    # the paper calls the optimum a discrete Gaussian; from N 32 on the
+    # parameter-free sin^2 profile, the large-gamma shape, fits it better
+
+    @pytest.mark.parametrize("gamma", [1.0, 16.0])
+    def test_spread_tends_to_the_sin2_value(self, gamma):
+        # sin^2(pi x) on [0, 1] has variance 1/12 - 1/(2 pi^2); measured
+        # +0.56 % at N 128 (+2.0 % at N 32, +5.0 % at N 8)
+        n_max = 128
+        p = maximize_coherent_information(n_max, DephasingParams(gamma)).p_opt.p
+        sd = math.sqrt(p @ (np.arange(n_max + 1) - n_max / 2.0) ** 2)
+        continuum = (n_max + 2) * math.sqrt(1.0 / 12.0 - 1.0 / (2.0 * math.pi ** 2))
+        assert sd == pytest.approx(continuum, rel=0.01)
+
+    @pytest.mark.parametrize("gamma", [0.25, 1.0, 16.0])
+    @pytest.mark.parametrize("n_max", [32, 128])
+    def test_sin2_falls_shorter_of_q_than_the_best_gaussian(self, n_max, gamma):
+        # relative shortfalls below q: sin^2 4.2e-5 to 2.4e-4 at N 32 and
+        # 8.4e-7 to 5.1e-6 at N 128, the best Gaussian 7.7e-4 to 8.6e-4 and
+        # 1.4e-4 to 2.0e-4; at N 8, gamma 0.25 the Gaussian wins
+        params = DephasingParams(gamma)
+        q = maximize_coherent_information(n_max, params).q_bits
+        q_sin2 = coherent_information_diagonal(InputDistribution(sin2_weights(n_max)), params)
+        q_gauss = maximize_over_ansatz(n_max, params)[1]
+        assert 0.0 < q - q_sin2 < q - q_gauss
 
 
 class TestAsymptoticCapacity:

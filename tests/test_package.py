@@ -68,6 +68,16 @@ def test_bench_tracer_targets_resolve():
     assert validate._SUITES == suites
 
 
+def test_replica_names_are_fock_objects():
+    # replica keeps only the names the benchmark reaches: its kernel and input
+    # type are fock's own, so the solver's Gram kernel is the closed-form channel
+    from dephcap import fock, replica
+
+    assert replica.gram_matrix is fock.gram_matrix
+    assert replica.InputDistribution is fock.InputDistribution is dephcap.InputDistribution
+    assert not hasattr(fock, "_diff_sq")
+
+
 def test_bench_suite_names_match_reference():
     # the benchmark checks each validate suite against its own copy of the
     # tolerance, by name; a suite renamed, added or removed must fail here

@@ -6,18 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dephcap import fock
-from dephcap.fock import DephasingParams, environment_amplitudes
+from dephcap.fock import DephasingParams, InputDistribution, environment_amplitudes, gram_matrix
 from dephcap.optimize import (
     coherent_information_diagonal,
     maximize_coherent_information,
     two_point_lower_bound,
 )
-from dephcap.replica import (
-    InputDistribution,
-    entropy_bruteforce_oracle,
-    gram_matrix,
-    shannon_entropy,
-)
+from dephcap.replica import entropy_bruteforce_oracle, shannon_entropy
 
 
 def random_distribution(rng, dim, concentration=1.0):
