@@ -160,13 +160,16 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> FockDensityMatr
 # ---------------------------------------------------------------------------
 # entropy kernel
 
-def shannon_bits(values) -> float:
-    """-sum x log2 x over the positive entries of values, with 0 log 0 = 0."""
+def shannon_bits(values):
+    """-sum x log2 x over the positive entries of values, with 0 log 0 = 0.
+
+    values may be a stack of shape (..., K): the sum runs along the last
+    axis, each row's entropy is bitwise that of calling it alone, and a
+    single (K,) vector gives a Python float. Entries <= 0 add nothing.
+    """
     x = np.asarray(values, dtype=float)
-    x = x[x > 0.0]
-    if x.size == 0:
-        return 0.0
-    return float(-(x * np.log(x)).sum() / _LN2)
+    out = -(x * np.log(x, out=np.zeros_like(x), where=x > 0.0)).sum(axis=-1) / _LN2
+    return float(out) if out.ndim == 0 else out
 
 
 # phi(1 + u) = u^2 sum_k (-u)^k / ((k+1)(k+2)) is summed for |u| below
@@ -298,18 +301,22 @@ def environment_amplitudes(params: DephasingParams, n_max: int) -> np.ndarray:
     return table
 
 
-def environment_entropy_bits(p, params: DephasingParams) -> float:
+def environment_entropy_bits(p, params: DephasingParams):
     """Entropy in bits of the environment output sum_m p_m |sqrt(gamma) m><sqrt(gamma) m|.
 
     With C = environment_amplitudes, that output is C diag(p) C^T, whose
     nonzero spectrum is the squared singular values of the K x (N+1)
     matrix C diag(sqrt p): one thin SVD in O(K N^2), no K x K matrix.
-    Negative rounding in p counts as 0.
+    Negative rounding in p counts as 0. p may be a stack of shape
+    (..., N+1): one stacked SVD takes every row, each row's entropy is
+    bitwise that of calling it alone, and a single (N+1,) vector gives a
+    Python float.
     """
     w = np.maximum(np.asarray(p, dtype=float), 0.0)
-    c = environment_amplitudes(params, w.size - 1)
-    s = np.linalg.svd(c * np.sqrt(w)[None, :], compute_uv=False)
-    return max(shannon_bits(s * s), 0.0)
+    c = environment_amplitudes(params, w.shape[-1] - 1)
+    s = np.linalg.svd(c * np.sqrt(w)[..., None, :], compute_uv=False)
+    out = np.maximum(shannon_bits(s * s), 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def kraus_apply(rho: FockDensityMatrix, params: DephasingParams) -> FockDensityMatrix:
@@ -329,13 +336,15 @@ def _rk4_steps(gamma: float, dim: int) -> int:
     The step stays inside RK4's real-axis stability interval, h L <= 2.785:
     the error model gives h L = (1.2e-8 / (gamma L))^(1/4), at most 2.785
     from gamma L = 2e-10 on, and below that the 20-step floor keeps h L
-    under 1e-11.
+    under 1e-11. The count gamma / h = gamma L (gamma L / 1.2e-8)^(1/4) is
+    formed from gamma L alone, with no division by it, so a gamma L that
+    underflows to 0 gives the floor.
     """
     lam = (dim - 1) ** 2 / 2.0
     if gamma == 0.0 or lam == 0.0:
         return 1
-    h = (120.0 * 1e-10 / (gamma * lam ** 5)) ** 0.25
-    return max(int(math.ceil(gamma / h)), 20)
+    rate = gamma * lam
+    return max(int(math.ceil(rate * (rate / (120.0 * 1e-10)) ** 0.25)), 20)
 
 
 def evolve_master_equation(rho: FockDensityMatrix, params: DephasingParams) -> FockDensityMatrix:
@@ -411,9 +420,9 @@ def phase_average_oracle(rho: FockDensityMatrix, params: DephasingParams) -> Foc
     each weighted 2 pi / M, and evaluated in units of sigma, so a subnormal
     gamma keeps full precision. While the lattice fits on the circle its
     points are the nodes: 25 of them as gamma N^2 -> 0. For large gamma it
-    wraps, and one bincount folds point k onto node k mod M; the rule then
-    holds about 2.9 sigma (N + 2) density values at once: 7.4e6 at gamma
-    1e8, N 256, which trace 177 MB.
+    wraps, and summing the lattice turn by turn folds point k onto node
+    k mod M; the rule then holds about 2.9 sigma (N + 2) density values at
+    once: 7.4e6 at gamma 1e8, N 256, which trace 177 MB.
     """
     if params.gamma == 0.0:
         return rho
@@ -424,7 +433,12 @@ def phase_average_oracle(rho: FockDensityMatrix, params: DephasingParams) -> Foc
     k = np.arange(-k_max, k_max + 1)
     wts = np.exp(-0.5 * (k * step) ** 2) * (step / math.sqrt(2.0 * math.pi))
     if k.size > m:  # the lattice wraps: point k lands on node k mod M
-        wts = np.bincount(k % m, weights=wts)
+        # zero-padded to whole turns that start at node 0, one turn per row:
+        # the column sums add each node's points in the order of k
+        lead = -k_max % m
+        turns = np.zeros(-(-(lead + k.size) // m) * m)
+        turns[lead:lead + k.size] = wts
+        wts = turns.reshape(-1, m).sum(axis=0)
         k = np.arange(m)
     # the sine part integrates to zero by symmetry, and the cosine kernel
     # depends on |m - n| only: one value per distance

@@ -121,17 +121,24 @@ def _objective_and_gradient(weights, gamma, levels=None):
     u = (a_l - p_m) / p_m. Every term is nonnegative, so nothing cancels
     where J is far below 1. Rounding eigenvalues below 0 are set to 0. A
     zero weight makes J nan, which the ascent rejects.
+
+    weights may be a stack of shape (..., K): one stacked eigh takes every
+    row, and J has shape (...), grad (..., K), a (..., K) and V (..., K, K).
+    Each row's results are bitwise those of calling it alone; a single
+    (K,) vector gives J as a Python float.
     """
     if levels is None:
-        levels = np.arange(weights.size)
+        levels = np.arange(weights.shape[-1])
     # fock.gram_matrix, reached through replica, where the benchmark traces it
     g_kernel = replica.gram_matrix(DephasingParams(gamma), levels)
     sq = np.sqrt(weights)
-    a, v = np.linalg.eigh(sq[:, None] * g_kernel * sq[None, :])
+    a, v = np.linalg.eigh(sq[..., :, None] * g_kernel * sq[..., None, :])
     a = np.maximum(a, 0.0)
-    u = (a[None, :] - weights[:, None]) / weights[:, None]
-    grad = (v * v * fock.phi1p(u)).sum(axis=1)
-    return float(weights @ grad), grad, a, v
+    u = (a[..., None, :] - weights[..., :, None]) / weights[..., :, None]
+    grad = (v * v * fock.phi1p(u)).sum(axis=-1)
+    # a (1, K) @ (K, 1) product per row rounds as weights @ grad does
+    value = (weights[..., None, :] @ grad[..., :, None])[..., 0, 0]
+    return (float(value) if value.ndim == 0 else value), grad, a, v
 
 
 def coherent_information_diagonal(p: InputDistribution, params: DephasingParams) -> float:

@@ -2,8 +2,10 @@
 
 bench/worker.py's tracer wraps gram_matrix (the solver calls it through
 this module) and entropy_bruteforce_oracle; bench/test_bench.py calls
-InputDistribution and shannon_entropy. gram_matrix and InputDistribution
-are fock's own objects; the package exports only InputDistribution.
+InputDistribution and shannon_entropy. The validation suite calls the
+fock functions behind the two adapters directly, on stacks of inputs.
+gram_matrix and InputDistribution are fock's own objects; the package
+exports only InputDistribution.
 """
 
 from __future__ import annotations

@@ -523,15 +523,19 @@ class TestValidateCommand:
              lambda real: lambda rho, params: real(rho, params)
              + np.abs(np.triu(rho.entries, 1)).sum(),
              "proposition1_dominance"),
-            (optimize, "coherent_information_diagonal",
-             lambda real: lambda p, params: real(p, params) * (1.0 + 1e-6),
+            (optimize, "_objective_and_gradient",
+             lambda real: lambda w, gamma, levels=None: (
+                 lambda j, *rest: (j * (1.0 + 1e-6), *rest))(*real(w, gamma, levels)),
              "replica_vs_bruteforce"),
             (fock, "gram_matrix", lambda real: lambda params, idx: real(params, idx) ** 1.01,
              "representation_equivalence"),
+            (fock, "environment_entropy_bits",
+             lambda real: lambda p, params: real(p, params) * (1.0 + 1e-6),
+             "replica_vs_bruteforce"),
         ],
         ids=["skewed-gram-kernel", "skewed-kraus", "skewed-environment-table", "rates-do-not-add",
              "mixes-in-superposition", "rewards-coherence", "scaled-j-kernel",
-             "skewed-closed-form-kernel"],
+             "skewed-closed-form-kernel", "scaled-environment-entropy"],
     )
     def test_corrupted_code_fails_its_suite(self, capsys, monkeypatch, module, name, fault, suite):
         # negative controls: the acceptance tests trust these suites, so each

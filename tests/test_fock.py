@@ -360,6 +360,21 @@ class TestMasterEquation:
                 h = gamma / fock._rk4_steps(gamma, dim)
                 assert h * (dim - 1) ** 2 / 2.0 <= 2.785
 
+    def test_step_counts(self):
+        # ceil(gamma / h) with h = (1.2e-8 / (gamma L^5))^(1/4), floored at 20
+        expected = {(0.25, 3): 41, (1.0, 5): 1286, (2.0, 6): 5342, (0.01, 33): 736,
+                    (4.0, 33): 1316338, (1e4, 129): 744632724009, (1e-6, 5): 20}
+        for (gamma, dim), steps in expected.items():
+            assert fock._rk4_steps(gamma, dim) == steps, (gamma, dim)
+
+    def test_subnormal_gamma_at_dimension_two(self):
+        # gamma L = 5e-324 / 2 underflows to 0; the step count is the floor
+        rho = random_density_matrix(2, np.random.default_rng(13))
+        params = DephasingParams(5e-324)
+        assert fock._rk4_steps(params.gamma, 2) == 20
+        out = evolve_master_equation(rho, params)
+        assert np.abs(out.entries - closed_form(rho, params.gamma)).max() <= 1e-15
+
     @pytest.mark.parametrize("steps", [1, 2, 24, 200])
     def test_matches_explicit_rk4_loop(self, steps, monkeypatch):
         # the four-stage RK4 step loop on the elementwise generator, written out
@@ -377,6 +392,35 @@ class TestMasterEquation:
         monkeypatch.setattr(fock, "_rk4_steps", lambda gamma, dim: steps)
         out = evolve_master_equation(rho, DephasingParams(t))
         assert np.abs(out.entries - r).max() <= 1e-14
+
+
+class TestStackedEntropy:
+    # a (..., K) stack goes through one SVD (environment_entropy_bits) or one
+    # sum (shannon_bits); each row must be bitwise the single-row call
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("n_max", [1, 2, 5, 8])
+    def test_environment_entropy_rows_bitwise_equal(self, n_max, gamma):
+        rng = np.random.default_rng(n_max)
+        stack = rng.dirichlet(np.ones(n_max + 1), size=(2, 4))
+        stack[0, 0, 0] = 0.0  # a zero weight, as at a face of the simplex
+        params = DephasingParams(gamma)
+        out = fock.environment_entropy_bits(stack, params)
+        assert out.shape == (2, 4)
+        for idx in np.ndindex(2, 4):
+            single = fock.environment_entropy_bits(stack[idx], params)
+            assert type(single) is float
+            assert single == out[idx]
+
+    def test_shannon_rows_bitwise_equal(self):
+        rng = np.random.default_rng(14)
+        stack = rng.dirichlet(np.ones(17), size=6)
+        stack[::2, ::3] = 0.0
+        stack[1, 4] = -1e-17  # rounding below zero counts as 0
+        out = fock.shannon_bits(stack)
+        for row, value in zip(stack, out):
+            assert fock.shannon_bits(row) == value
+        assert fock.shannon_bits(np.zeros((2, 3))).tolist() == [0.0, 0.0]
 
 
 class TestSemigroupAndCovariance:

@@ -170,6 +170,32 @@ class TestObjectiveGradient:
             assert abs(g.sum()) < 1e-9
 
 
+class TestStackedObjective:
+    # a (..., K) stack of weights goes through one eigh; each row's J, grad,
+    # a and V must be bitwise those of the single-row call
+
+    @pytest.mark.parametrize("n_max", [1, 2, 5, 8, 32, 128])
+    @pytest.mark.parametrize("gamma", [0.0, 0.25, 1.0, 16.0, 40.0])
+    def test_rows_bitwise_equal_single_calls(self, n_max, gamma):
+        rng = np.random.default_rng(n_max)
+        stack = rng.dirichlet(np.ones(n_max + 1), size=(2, 3))
+        value, grad, a, v = _objective_and_gradient(stack, gamma)
+        assert value.shape == (2, 3) and grad.shape == a.shape == (2, 3, n_max + 1)
+        assert v.shape == (2, 3, n_max + 1, n_max + 1)
+        for idx in np.ndindex(2, 3):
+            row = _objective_and_gradient(stack[idx], gamma)
+            assert type(row[0]) is float
+            assert row[0] == value[idx]
+            for single, stacked in zip(row[1:], (grad, a, v)):
+                assert np.array_equal(single, stacked[idx])
+
+    def test_single_row_value_is_weights_dot_grad(self):
+        # the per-row (1, K) @ (K, 1) product rounds as weights @ grad does
+        w = np.random.default_rng(3).dirichlet(np.ones(33))
+        value, grad, _, _ = _objective_and_gradient(w, 1.0)
+        assert value == float(w @ grad)
+
+
 def mirror_fold(size):
     """P: the (N+1) x ceil((N+1)/2) 0/1 matrix mapping half coordinate s to levels s and N - s."""
     fold = np.zeros((size, (size + 1) // 2))

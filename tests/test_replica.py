@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dephcap import fock
+from dephcap import fock, validate
 from dephcap.fock import DephasingParams, InputDistribution, environment_amplitudes, gram_matrix
 from dephcap.optimize import (
     coherent_information_diagonal,
@@ -27,6 +27,24 @@ def replica_matrix(p, params):
 def kernel_entropy(p, params):
     """S(A) in bits as the solver's J kernel gives it: H(p) - J(p)."""
     return shannon_entropy(p) - coherent_information_diagonal(p, params)
+
+
+def count_linalg_calls(monkeypatch, names):
+    """Patch the named np.linalg functions to record (name, input shape); returns the record."""
+    calls = []
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def counted(matrix, *args, **kwargs):
+            calls.append((name, matrix.shape))
+            return original(matrix, *args, **kwargs)
+
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    return calls
 
 
 def distributions(max_n=7):
@@ -217,19 +235,7 @@ class TestBruteForceOracle:
         # the entropy is one thin SVD of C diag(sqrt p); no K x K Omega is diagonalized
         p = InputDistribution(np.array([0.2, 0.3, 0.5]))
         params = DephasingParams(1.0)
-        calls = []
-
-        def counting(name):
-            original = getattr(np.linalg, name)
-
-            def counted(matrix, *args, **kwargs):
-                calls.append((name, matrix.shape))
-                return original(matrix, *args, **kwargs)
-
-            return counted
-
-        for name in ("eigvalsh", "svd"):
-            monkeypatch.setattr(np.linalg, name, counting(name))
+        calls = count_linalg_calls(monkeypatch, ("eigvalsh", "svd"))
         entropy_bruteforce_oracle(p, params)
         assert calls == [("svd", environment_amplitudes(params, 2).shape)]
 
@@ -294,3 +300,21 @@ class TestCoherentInformationDiagonal:
             InputDistribution(p), params
         ) + (1 - t) * coherent_information_diagonal(InputDistribution(q), params)
         assert j_mix >= j_parts - 1e-9
+
+
+class TestStackedSuite:
+    # replica_vs_bruteforce draws and evaluates each (N, gamma) group at once
+
+    def test_one_dirichlet_call_gives_sequential_draws(self):
+        for n_max in range(1, 6):
+            batch = np.random.default_rng(202).dirichlet(np.ones(n_max + 1), size=50)
+            rng = np.random.default_rng(202)
+            sequential = np.array([rng.dirichlet(np.ones(n_max + 1)) for _ in range(50)])
+            assert np.array_equal(batch, sequential)
+
+    @pytest.mark.parametrize("level, groups, samples", [("quick", 6, 10), ("full", 15, 50)])
+    def test_one_eigh_and_one_svd_per_group(self, monkeypatch, level, groups, samples):
+        calls = count_linalg_calls(monkeypatch, ("eigh", "eigvalsh", "svd"))
+        assert validate.suite_replica_vs_bruteforce(level).passed
+        assert [(name, shape[0]) for name, shape in calls] == [
+            ("eigh", samples), ("svd", samples)] * groups
