@@ -20,6 +20,11 @@ V rho V^dag are contractions of that table; the joint state is never built.
 coherent_information reads the environment's entropy off the same table,
 weighted by the populations, by one thin SVD (environment_entropy_bits),
 so it builds no K x K state either.
+Every state may be a stack: a FockDensityMatrix holds entries of shape
+(..., d, d), each row validated as one state, and the closed form, the
+Kraus sum, the master equation, the quadrature, the dilation and
+coherent_information act on each row as they act on a single state,
+bitwise.
 The real table is built in one pass from the saddle-point form of the
 Poisson weight in row blocks, cached per (gamma, N) and read-only; its
 completeness defect stays near 1e-15 at N 128, gamma 1, so its memory,
@@ -65,14 +70,16 @@ class DephasingParams:
 
 @dataclass(frozen=True, eq=False)
 class FockDensityMatrix:
-    """Density matrix on a Fock space truncated to dimension dim = N+1.
+    """Density matrix on a Fock space truncated to dimension dim = N+1, or a stack of them.
 
-    Construction validates finiteness, Hermiticity (1e-12), unit trace
-    (1e-12) and positivity (eigenvalues >= -1e-10); entries are frozen
-    afterwards, float64 for real input and complex128 for complex input.
-    The eigenvalues of the positivity check are kept, read-only, as
-    spectrum, so a state is diagonalized once: entropy_bits reads them.
-    == is identity.
+    entries has shape (d, d) for one state or (..., d, d) for a stack,
+    and every d x d row is checked as one state: finiteness, Hermiticity
+    (1e-12), unit trace (1e-12) and positivity (eigenvalues >= -1e-10), all
+    from one stacked eigvalsh; a bad row raises as a bad single state does.
+    Entries are frozen afterwards, float64 for real input and complex128 for
+    complex input. The eigenvalues of the positivity check are kept,
+    read-only, as spectrum (shape (..., d)), so a state is diagonalized
+    once: entropy_bits reads them. == is identity.
     """
 
     entries: np.ndarray
@@ -80,16 +87,18 @@ class FockDensityMatrix:
 
     def __post_init__(self):
         m = np.array(self.entries, dtype=complex if np.iscomplexobj(self.entries) else float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.size == 0:
             raise ValueError(f"entries must be a nonempty square matrix, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise ValueError("entries must be finite")
-        herm = np.abs(m - m.conj().T).max()
+        herm = np.abs(m - m.swapaxes(-1, -2).conj()).max()
         if herm > HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian: max deviation {herm:.3e}")
-        tr = m.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace must be 1 within {TRACE_TOL:.0e}, got {tr:.15g}")
+        tr = m.trace(axis1=-2, axis2=-1)
+        off = abs(tr - 1.0)
+        if off.max() > TRACE_TOL:
+            worst = np.ravel(tr)[off.argmax()]
+            raise ValueError(f"trace must be 1 within {TRACE_TOL:.0e}, got {worst:.15g}")
         spectrum = np.linalg.eigvalsh(m)
         lo = spectrum.min()
         if lo < EIGENVALUE_FLOOR:
@@ -101,18 +110,23 @@ class FockDensityMatrix:
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
     @property
     def n_max(self) -> int:
         return self.dim - 1
 
     def diagonal(self) -> np.ndarray:
-        return self.entries.diagonal().real.copy()
+        """The populations rho[m, m], of shape (..., d)."""
+        return self.entries.diagonal(axis1=-2, axis2=-1).real.copy()
 
-    def entropy_bits(self) -> float:
-        """Von Neumann entropy -Tr[rho log2 rho] of the kept spectrum, clamped at 0."""
-        return max(shannon_bits(self.spectrum), 0.0)
+    def entropy_bits(self):
+        """Von Neumann entropy -Tr[rho log2 rho] of the kept spectrum, clamped at 0.
+
+        A Python float for one state, an array of shape (...) for a stack.
+        """
+        out = np.maximum(shannon_bits(self.spectrum), 0.0)
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,15 +160,29 @@ class InputDistribution:
 # state constructors
 
 def diagonal_state(weights) -> FockDensityMatrix:
-    """Mixture of Fock states with the given probability weights."""
-    return FockDensityMatrix(np.diag(np.asarray(weights, dtype=float)))
+    """Mixture of Fock states with the given probability weights; (..., d) weights give a stack."""
+    w = np.asarray(weights, dtype=float)
+    if w.ndim == 0:
+        raise ValueError("weights must be a vector or a stack of vectors")
+    m = np.zeros(w.shape + w.shape[-1:])
+    n = np.arange(w.shape[-1])
+    m[..., n, n] = w
+    return FockDensityMatrix(m)
+
+
+def _ginibre_entries(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """The entries of random_density_matrix(dim, rng), from the same draws, unvalidated.
+
+    Draws made one by one can be stacked and validated as one state.
+    """
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    m = x @ x.conj().T
+    return m / m.trace().real
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> FockDensityMatrix:
     """Full-rank random state from the complex Ginibre ensemble."""
-    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    m = x @ x.conj().T
-    return FockDensityMatrix(m / m.trace().real)
+    return FockDensityMatrix(_ginibre_entries(dim, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +272,10 @@ def _stirling_delta(k) -> np.ndarray:
 _TABLE_BLOCK = 1024
 
 
-# A full validation pass touches 18 (gamma, N) keys, so 7 small tables are
-# rebuilt per pass, at about 0.1 ms each; 16 entries bound what a
-# long-lived process keeps.
-@functools.lru_cache(maxsize=16)
+# A full validation pass touches 18 (gamma, N) keys, and 32 entries keep
+# them all. The bound is also what a long-lived process keeps: 32 tables
+# of K (N+1) 8 bytes, 576 MB if all were N 128, gamma 1 (18 MB each).
+@functools.lru_cache(maxsize=32)
 def environment_amplitudes(params: DephasingParams, n_max: int) -> np.ndarray:
     """The real (K, N+1) environment table <k|sqrt(gamma) m>, k < K, m = 0..N.
 
@@ -271,7 +299,7 @@ def environment_amplitudes(params: DephasingParams, n_max: int) -> np.ndarray:
     returned read-only; a build that raises is not cached. A table takes
     K (N+1) 8 bytes: 18 MB at N 128, gamma 1, about 8.7 GB at N 1024; its
     build peaks at about 1.2 times that (about 10.5 GB at N 1024), and at
-    most 16 tables are cached.
+    most 32 tables are cached, 576 MB if all were N 128, gamma 1.
     """
     lam = params.gamma * n_max ** 2
     j_max = int(math.ceil(lam + 10.0 * math.sqrt(lam + 1.0) + 10.0))
@@ -382,12 +410,13 @@ def complementary_output(p, params: DephasingParams) -> FockDensityMatrix:
 
     The p-weighted mixture of the columns of environment_amplitudes, as a
     K x K state; coherent_information takes its entropy without building it.
+    p of shape (..., N+1) gives a stack of K x K states.
     Not exported by the package: the benchmark's tracer wraps it here by name.
     """
     w = np.asarray(p, dtype=float)
-    c = environment_amplitudes(params, w.size - 1)
-    omega = (c * w[None, :]) @ c.T
-    return FockDensityMatrix(0.5 * (omega + omega.T))
+    c = environment_amplitudes(params, w.shape[-1] - 1)
+    omega = (c * w[..., None, :]) @ c.T
+    return FockDensityMatrix(0.5 * (omega + omega.swapaxes(-1, -2)))
 
 
 def dilation_oracle(rho: FockDensityMatrix, params: DephasingParams):
@@ -454,6 +483,8 @@ def coherent_information(rho: FockDensityMatrix, params: DephasingParams) -> flo
     its construction already computed. The environment sees only the
     populations of rho, so its entropy is environment_entropy_bits of
     rho's diagonal: nothing larger than (N+1) x (N+1) is diagonalized.
+    A stacked rho gives an array with each row's J, bitwise its single-state
+    value; one state gives a Python float.
     """
     return kraus_apply(rho, params).entropy_bits() - environment_entropy_bits(
         rho.diagonal(), params)

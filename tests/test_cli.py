@@ -532,10 +532,14 @@ class TestValidateCommand:
             (fock, "environment_entropy_bits",
              lambda real: lambda p, params: real(p, params) * (1.0 + 1e-6),
              "replica_vs_bruteforce"),
+            (optimize, "_objective_and_gradient",
+             lambda real: lambda w, gamma, levels=None: (
+                 lambda j, *rest: (j * math.nan, *rest))(*real(w, gamma, levels)),
+             "replica_vs_bruteforce"),
         ],
         ids=["skewed-gram-kernel", "skewed-kraus", "skewed-environment-table", "rates-do-not-add",
              "mixes-in-superposition", "rewards-coherence", "scaled-j-kernel",
-             "skewed-closed-form-kernel", "scaled-environment-entropy"],
+             "skewed-closed-form-kernel", "scaled-environment-entropy", "nan-j-kernel"],
     )
     def test_corrupted_code_fails_its_suite(self, capsys, monkeypatch, module, name, fault, suite):
         # negative controls: the acceptance tests trust these suites, so each

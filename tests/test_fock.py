@@ -423,6 +423,81 @@ class TestStackedEntropy:
         assert fock.shannon_bits(np.zeros((2, 3))).tolist() == [0.0, 0.0]
 
 
+class TestStackedState:
+    # a FockDensityMatrix of shape (..., d, d) is validated by one eigvalsh,
+    # and every representation acts on it row by row; each row must be
+    # bitwise the single-state call
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.25, 2.0])
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_rows_bitwise_equal_single_calls(self, dim, gamma):
+        rng = np.random.default_rng(dim)
+        singles = [random_density_matrix(dim, rng) for _ in range(6)]
+        stack = FockDensityMatrix(np.stack([s.entries for s in singles]).reshape(2, 3, dim, dim))
+        params = DephasingParams(gamma)
+        assert stack.dim == dim and stack.n_max == dim - 1
+        assert stack.spectrum.shape == (2, 3, dim)
+        diagonals = stack.diagonal()
+        assert diagonals.shape == (2, 3, dim)
+        diag_stack = diagonal_state(diagonals)
+        channels = (apply_dephasing, kraus_apply, evolve_master_equation, phase_average_oracle)
+        outs = [f(stack, params) for f in channels]
+        entropies = stack.entropy_bits()
+        j_values = fock.coherent_information(stack, params)
+        assert entropies.shape == j_values.shape == (2, 3)
+        for idx, single in zip(np.ndindex(2, 3), singles):
+            assert np.array_equal(stack.spectrum[idx], single.spectrum)
+            assert entropies[idx] == single.entropy_bits()
+            assert np.array_equal(diagonals[idx], single.diagonal())
+            assert np.array_equal(diag_stack.entries[idx],
+                                  diagonal_state(single.diagonal()).entries)
+            for f, out in zip(channels, outs):
+                assert np.array_equal(out.entries[idx], f(single, params).entries)
+            assert j_values[idx] == fock.coherent_information(single, params)
+            for out, ref in zip(dilation_oracle(stack, params), dilation_oracle(single, params)):
+                assert np.array_equal(out.entries[idx], ref.entries)
+
+    @pytest.mark.parametrize("row, match", [
+        (np.array([[0.5, 0.5 + 1e-9], [0.5, 0.5]]), "Hermitian"),
+        ((1.0 + 1e-9) * np.eye(2) / 2.0, "trace must be 1 within 1e-12, got 1.000000001"),
+        (np.diag([1.5, -0.5]), "positive"),
+    ], ids=["non-hermitian", "trace-off", "negative-eigenvalue"])
+    def test_one_bad_row_raises(self, row, match):
+        rows = np.stack([np.eye(2) / 2.0] * 4)
+        FockDensityMatrix(rows)
+        rows[2] = row
+        with pytest.raises(ValueError, match=match):
+            FockDensityMatrix(rows)
+
+    def test_single_state_keeps_messages_and_floats(self):
+        cases = [
+            (np.array([[0.5, 0.5], [0.2, 0.5]], dtype=complex),
+             "matrix is not Hermitian: max deviation 3.000e-01"),
+            (np.eye(2, dtype=complex), "trace must be 1 within 1e-12, got 2+0j"),
+            (np.eye(2), "trace must be 1 within 1e-12, got 2"),
+            (np.diag([1.5, -0.5]), "matrix is not positive semidefinite: min eigenvalue -5.000e-01"),
+            (np.array([[math.nan, 0.0], [0.0, 1.0]]), "entries must be finite"),
+            (np.ones(3), "entries must be a nonempty square matrix, got shape (3,)"),
+            (np.ones((2, 3)), "entries must be a nonempty square matrix, got shape (2, 3)"),
+            (np.zeros((0, 0)), "entries must be a nonempty square matrix, got shape (0, 0)"),
+        ]
+        for entries, message in cases:
+            with pytest.raises(ValueError) as exc:
+                FockDensityMatrix(entries)
+            assert str(exc.value) == message
+        rho = random_density_matrix(3, np.random.default_rng(4))
+        assert type(rho.entropy_bits()) is float
+        assert type(fock.coherent_information(rho, DephasingParams(0.5))) is float
+        assert rho.diagonal().shape == (3,) and rho.spectrum.shape == (3,)
+        assert diagonal_state([0.25, 0.75]).entries.shape == (2, 2)
+        with pytest.raises(ValueError, match="vector"):
+            diagonal_state(1.0)
+
+    def test_empty_stack_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            FockDensityMatrix(np.zeros((0, 2, 2)))
+
+
 class TestSemigroupAndCovariance:
     def test_identity_element(self):
         rng = np.random.default_rng(8)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dephcap import fock, validate
+from dephcap import fock, optimize, validate
 from dephcap.fock import DephasingParams, InputDistribution, environment_amplitudes, gram_matrix
 from dephcap.optimize import (
     coherent_information_diagonal,
@@ -318,3 +318,136 @@ class TestStackedSuite:
         assert validate.suite_replica_vs_bruteforce(level).passed
         assert [(name, shape[0]) for name, shape in calls] == [
             ("eigh", samples), ("svd", samples)] * groups
+
+
+def reference_worsts(level):
+    """Each suite's worst from one-state-at-a-time loops: the suites' same draws, unbatched."""
+    quick = level == "quick"
+    channels = (fock.apply_dephasing, fock.kraus_apply, fock.evolve_master_equation,
+                fock.phase_average_oracle)
+
+    def max_diff(a, b):
+        return float(np.abs(a.entries - b.entries).max())
+
+    rng = np.random.default_rng(101)
+    n_states, dim_stop = (6, 6) if quick else (20, 7)
+    equivalence = 0.0
+    for dim in [rng.integers(2, dim_stop) for _ in range(n_states)]:
+        rho = fock.random_density_matrix(int(dim), rng)
+        for gamma in (0.25, 1.0, 2.0):
+            outs = [f(rho, DephasingParams(gamma)) for f in channels]
+            for i in range(len(outs)):
+                for k in range(i + 1, len(outs)):
+                    equivalence = max(equivalence, max_diff(outs[i], outs[k]))
+
+    rng = np.random.default_rng(202)
+    replica = 0.0
+    for n_max in (1, 3) if quick else range(1, 6):
+        for gamma in (0.25, 1.0, 2.0):
+            for _ in range(10 if quick else 50):
+                p = rng.dirichlet(np.ones(n_max + 1))
+                kernel = optimize._objective_and_gradient(p, gamma)[0] / optimize._LN2
+                slow = fock.shannon_bits(p) - fock.environment_entropy_bits(p, DephasingParams(gamma))
+                replica = max(replica, abs(kernel - slow))
+
+    rng = np.random.default_rng(303)
+    pairs = [(0.0, 0.7), (0.5, 0.5), (2.0, 3.0)]
+    pairs += [tuple(rng.uniform(0.0, 3.0, 2)) for _ in range(10 if quick else 15)]
+    semigroup = 0.0
+    for g1, g2 in pairs:
+        rho = fock.random_density_matrix(5, rng)
+        composed = fock.apply_dephasing(fock.apply_dephasing(rho, DephasingParams(g1)),
+                                        DephasingParams(g2))
+        semigroup = max(semigroup, max_diff(composed, fock.apply_dephasing(
+            rho, DephasingParams(g1 + g2))))
+
+    rng = np.random.default_rng(404)
+    covariance = 0.0
+    for _ in range(12 if quick else 15):
+        rho = fock.random_density_matrix(int(rng.integers(2, 6)), rng)
+        theta = float(rng.uniform(0.0, 2.0 * np.pi))
+        params = DephasingParams(float(rng.uniform(0.0, 3.0)))
+        covariance = max(covariance, max_diff(
+            fock.apply_dephasing(fock.phase_rotate(rho, theta), params),
+            fock.phase_rotate(fock.apply_dephasing(rho, params), theta)))
+
+    rng = np.random.default_rng(505)
+    dominance = -np.inf
+    for i in range(20 if quick else 100):
+        rho = fock.random_density_matrix(3 + i % 3, rng)
+        diag = fock.diagonal_state(rho.diagonal())
+        for gamma in (0.5, 1.0):
+            params = DephasingParams(gamma)
+            dominance = max(dominance, fock.coherent_information(rho, params)
+                            - fock.coherent_information(diag, params))
+    return [equivalence, replica, semigroup, covariance, dominance]
+
+
+class TestStatesByDimension:
+    # representation_equivalence and proposition1_dominance draw their
+    # states one by one and evaluate them as one stack per dimension
+
+    @pytest.mark.parametrize("level", ["quick", "full"])
+    def test_grouped_draws_equal_sequential_draws(self, level):
+        n_states, dim_stop = validate._at_level(level, (6, 6), (20, 7))
+        n_dominance = validate._at_level(level, 20, 100)
+        draws = [
+            (101, lambda rng: [int(rng.integers(2, dim_stop)) for _ in range(n_states)]),
+            (505, lambda rng: [3 + i % 3 for i in range(n_dominance)]),
+        ]
+        for seed, draw_dims in draws:
+            rng = np.random.default_rng(seed)
+            grouped = validate._states_by_dim(draw_dims(rng), rng)
+            rng = np.random.default_rng(seed)
+            dims = draw_dims(rng)
+            sequential = [fock.random_density_matrix(dim, rng).entries for dim in dims]
+            assert [rho.dim for rho in grouped] == list(dict.fromkeys(dims))
+            for rho in grouped:
+                rows = [m for m, dim in zip(sequential, dims) if dim == rho.dim]
+                assert np.array_equal(rho.entries, np.stack(rows))
+
+    @pytest.mark.parametrize("level, sizes", [("quick", (2, 2, 1, 1)), ("full", (7, 4, 5, 3, 1))])
+    def test_representation_equivalence_calls(self, monkeypatch, level, sizes):
+        # each dimension's stack is checked once, then per dimension the
+        # outputs of 4 representations x 3 gammas
+        calls = count_linalg_calls(monkeypatch, ("eigh", "eigvalsh", "svd"))
+        assert validate.suite_representation_equivalence(level).passed
+        assert [(name, shape[0]) for name, shape in calls] == [
+            ("eigvalsh", n) for n in sizes] + [("eigvalsh", n) for n in sizes for _ in range(12)]
+
+    @pytest.mark.parametrize("level, sizes", [("quick", (7, 7, 6)), ("full", (34, 33, 33))])
+    def test_proposition1_calls(self, monkeypatch, level, sizes):
+        # each dimension's stack is checked once, then per dimension its
+        # diagonals, and per gamma J of both: one eigvalsh (channel output)
+        # and one svd (environment) each
+        calls = count_linalg_calls(monkeypatch, ("eigh", "eigvalsh", "svd"))
+        assert validate.suite_proposition1(level).passed
+        per_dim = ["eigvalsh"] + ["eigvalsh", "svd", "eigvalsh", "svd"] * 2
+        assert [(name, shape[0]) for name, shape in calls] == [
+            ("eigvalsh", n) for n in sizes] + [(name, n) for n in sizes for name in per_dim]
+
+    @pytest.mark.parametrize("level", ["quick", "full"])
+    def test_worst_equals_single_state_loops(self, level):
+        worsts = [outcome.worst for outcome in validate.run_validation(level)]
+        assert all(type(worst) is float for worst in worsts)
+        assert worsts == reference_worsts(level)
+
+    def test_full_pass_keeps_every_environment_table(self):
+        validate.run_validation("full")
+        before = environment_amplitudes.cache_info()
+        validate.run_validation("full")
+        after = environment_amplitudes.cache_info()
+        assert after.misses == before.misses
+        assert after.currsize <= after.maxsize
+
+    @pytest.mark.parametrize("name, suite", [
+        ("coherent_information", validate.suite_proposition1),
+        ("environment_entropy_bits", validate.suite_replica_vs_bruteforce),
+    ])
+    def test_nan_deviation_fails(self, monkeypatch, name, suite):
+        # a nan among the deviations must not be folded away
+        real = getattr(fock, name)
+        monkeypatch.setattr(fock, name, lambda *args: real(*args) * math.nan)
+        outcome = suite("quick")
+        assert math.isnan(outcome.worst)
+        assert not outcome.passed
