@@ -16,7 +16,9 @@ so they keep their relative accuracy where J is far below 1.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -95,7 +97,10 @@ def two_point_lower_bound(params: DephasingParams, j: int) -> TwoPointBound:
     kernel fock.phi1p, which keeps its relative accuracy as e -> 0. gamma j^2 / 2
     is one rounded quotient of exact integers, so a j whose square has no
     float still gives e = 1 at gamma 0, and e = 0 once the exponent overflows.
+    j is taken as a Python int (operator.index), so a numpy integer cannot
+    wrap around and a float raises TypeError.
     """
+    j = operator.index(j)
     if j < 1:
         raise ValueError("j must be >= 1")
     num, den = params.gamma.as_integer_ratio()
@@ -328,7 +333,9 @@ def objective_gradient(p: InputDistribution, params: DephasingParams) -> np.ndar
     """
     if p.p.min() <= 0.0:
         raise ValueError("gradient requires strictly positive p")
-    grad = _objective_and_gradient(p.p, params.gamma)[1] / _LN2
+    # a weight below about 4e-306 overflows the kernel's ratios: the check raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = _objective_and_gradient(p.p, params.gamma)[1] / _LN2
     bad = np.flatnonzero(~np.isfinite(grad))
     if bad.size:
         raise ValueError(f"non-finite gradient component at index {bad[0]}")
@@ -362,8 +369,8 @@ def _newton_ascent(w: np.ndarray, kernel):
     The loop stops once the gap max_m dF/dp_m - p.grad F is at most
     GAP_RTOL * F, after MAX_NEWTON_STEPS steps (a safety stop: no J solve
     on N {1, 2, 3, 4, 8, 16, 24, 32, 64, 128} x gamma {0, 0.5, ..., 40}
-    takes more than 2, N 2 at gamma 0.5, and no c solve on N 1..256, 512
-    or 1024 more than 3), when the bordered system is singular (solve
+    takes more than 2, N 2 at gamma 0.5, and no c solve on N 1..399, 512,
+    768 or 1024 more than 3), when the bordered system is singular (solve
     raises, or returns a non-finite direction, as at N 43, gamma 150) or d
     is not an ascent direction (the Hessian's tangent part is lost to
     rounding), or when no step that still changes p increases F.
@@ -404,11 +411,8 @@ def _newton_ascent(w: np.ndarray, kernel):
     return w, value, float(g.max()), iterations
 
 
-# certified c optima p_c by N, oldest first (see _start_weights)
-_START_CACHE_SIZE = 64
-_start_cache: dict[int, np.ndarray] = {}
-
-
+# 64 arrays of N + 1 floats, 0.5 MB if all were N 1024
+@functools.lru_cache(maxsize=64)
 def _start_weights(n_max: int) -> np.ndarray:
     """The large-gamma optimum p_c = argmax c, read-only, by _newton_ascent on c from sin^2.
 
@@ -417,22 +421,15 @@ def _start_weights(n_max: int) -> np.ndarray:
     which nearly maximizes c. The cos^2 form is bitwise mirror-symmetric,
     and uniform at N = 1, so p_c is too.
 
-    p_c depends on N only, so it is solved once per N per process: a solve
-    whose gap is at most GAP_RTOL * c is kept in _start_cache (at most
-    _START_CACHE_SIZE values of N, the oldest evicted first) and returned,
-    the same array, on every later call. Only a certified p_c is kept, and
-    the loop stops at the first certified step, so a kept value is bitwise
-    the one an uncapped solve returns whatever MAX_NEWTON_STEPS was.
+    The function is its own cache, keyed on N: p_c is solved once per N
+    (for the 64 most recently used N) and the same read-only array is
+    returned on every later call. Every c solve on N 1..399, 512, 768 and
+    1024 certifies in at most 3 steps, so the cached p_c is the certified
+    optimum; a solve capped by a patched MAX_NEWTON_STEPS is cached too.
     """
-    if (cached := _start_cache.get(n_max)) is not None:
-        return cached
     w = np.cos(math.pi * (np.arange(n_max + 1) - n_max / 2.0) / (n_max + 2)) ** 2
-    w, value, gap, _ = _newton_ascent(w / w.sum(), _C_KERNEL)
+    w = _newton_ascent(w / w.sum(), _C_KERNEL)[0]
     w.setflags(write=False)
-    if gap <= GAP_RTOL * value:
-        if len(_start_cache) >= _START_CACHE_SIZE:
-            del _start_cache[next(iter(_start_cache))]
-        _start_cache[n_max] = w
     return w
 
 
@@ -461,8 +458,8 @@ def maximize_coherent_information(n_max: int, params: DephasingParams) -> Capaci
     """Maximize J over the simplex on Fock levels 0..N.
 
     Concavity makes every local maximizer globally optimal, so one Newton
-    ascent from the large-gamma optimum _start_weights(N) is run, which is
-    solved on the first call at each N and reused after; iterations counts
+    ascent from the large-gamma optimum _start_weights(N), an lru_cache
+    that solves it on the first call at each N, is run; iterations counts
     its J steps. converged means the duality gap is
     at most GAP_RTOL of J and J is accurate to GAP_RTOL. From gamma of
     about 30 on, the Hessian's tangent part, of order e^-gamma, falls

@@ -110,10 +110,11 @@ class TestCapacityCommand:
         assert exc.value.code == 1
 
     def test_nonconvergence_exits_two(self, capsys, monkeypatch):
-        # on a cold start cache the cap also stops the c solve for the
-        # start, but even from the exact large-gamma optimum, which a warm
-        # cache returns, one Newton step leaves N = 64 at gamma 0.25 with a
-        # gap of 3.8e-3 J
+        # the cap also stops the c solve, whose result the start cache would
+        # keep, so the start is solved first: even from the exact large-gamma
+        # optimum one Newton step leaves N = 64 at gamma 0.25 with a gap of
+        # 3.8e-3 J
+        optimize._start_weights(64)
         monkeypatch.setattr(optimize, "MAX_NEWTON_STEPS", 1)
         rc = main(["capacity", "--n", "64", "--gamma", "0.25"])
         rec = parse_record(capsys.readouterr().out)
@@ -476,10 +477,11 @@ class TestOtherCommands:
         assert 0.0 <= float(rec["gap"]) <= 1e-5 * float(rec["q_optimizer_bits"])
 
     def test_asymptotic_uncertified_exits_two(self, capsys, monkeypatch):
-        # with no step the start is sin^2 on a cold start cache; the exact
-        # large-gamma optimum, which a warm cache returns, still leaves a
-        # gap of 1.3e-4 J at N 64, gamma 5, where e^{-gamma/2} < 0.1 raises
-        # no warning
+        # the start is solved before the cap, which the start cache would
+        # keep: with no J step the exact large-gamma optimum leaves a gap
+        # of 1.3e-4 J at N 64, gamma 5, where e^{-gamma/2} < 0.1 raises no
+        # warning
+        optimize._start_weights(64)
         monkeypatch.setattr(optimize, "MAX_NEWTON_STEPS", 0)
         rc = main(["asymptotic", "--n", "64", "--gamma", "5"])
         rec = parse_record(capsys.readouterr().out)
