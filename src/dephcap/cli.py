@@ -5,9 +5,9 @@ Sweep config files are read for their [grid] and [output] sections; any
 other section is ignored.
 
 Exit codes: 0 success, 1 invalid flags or config values, 2 uncertified:
-the duality gap exceeds 1e-5 of q, or gamma is past the accuracy of J
-(capacity and asymptotic commands), 3 I/O failure, including stdout
-closed before all output was written.
+the duality gap plus the float spacing of q exceeds 1e-5 of q (capacity
+and asymptotic commands), 3 I/O failure, including stdout closed before
+all output was written.
 Records print that gap as gap=, in bits. Numbers in tabular
 output carry 12 significant digits with lowercase exponents so repeated
 runs diff byte-for-byte.

@@ -11,7 +11,9 @@ same Newton loop finds it on c in O(N) work per evaluation. Concavity also
 bounds the distance to that optimum by the duality gap
 max_m dJ/dp_m - p.grad J, and the ascent stops, certified, once the gap is
 at most GAP_RTOL of J. J and its gradient are sums of nonnegative terms,
-so they keep their relative accuracy where J is far below 1.
+so they keep their relative accuracy where J is far below 1, down to
+about 50 eps e^{gamma/2}; past gamma 41.24, where that exceeds GAP_RTOL,
+J is e^-gamma c to rounding, and the solve reports e^-gamma c instead.
 """
 
 from __future__ import annotations
@@ -41,8 +43,10 @@ class CapacityResult:
 
     gap is the duality gap at p_opt in bits, so the true truncated
     capacity lies in [q_bits, q_bits + gap] up to the rounding of J.
-    error is the text of the exception that failed a sweep point (whose
-    q_bits and gap are then nan), and None for a solved point.
+    Past gamma 41.24 both are e^-gamma times c's value and gap at p_c,
+    which equal J's to rounding there. error is the text of the exception
+    that failed a sweep point (whose q_bits and gap are then nan), and None
+    for a solved point.
     """
 
     gamma: float
@@ -63,15 +67,15 @@ class CapacityResult:
 
     @property
     def converged(self) -> bool:
-        """The certificate: gap is at most GAP_RTOL * q_bits and so is J's rounding.
+        """The certificate: gap plus q_bits' float spacing is at most GAP_RTOL * q_bits.
 
-        J's rounding is relative 50 eps e^{gamma/2}, at most GAP_RTOL up to
-        gamma 41.24. A nan gap fails the first test, so a failed point never
-        converges.
+        The spacing is about 2e-16 q_bits in float64's normal range. q_bits
+        is subnormal from gamma 708.4, so its spacing, 5e-324, stops the
+        certificate once it exceeds about 1e-5 of q_bits, and q_bits is 0
+        from gamma 745.2. A nan gap or q_bits fails the test, so a failed
+        point never converges.
         """
-        if not self.gap <= GAP_RTOL * self.q_bits:
-            return False
-        return 50.0 * _EPS <= GAP_RTOL * math.exp(-self.gamma / 2.0)
+        return self.gap + math.ulp(self.q_bits) <= GAP_RTOL * self.q_bits
 
     def mean_energy(self) -> float:
         if self.p_opt is None:
@@ -144,6 +148,16 @@ def _objective_and_gradient(weights, gamma, levels=None):
     # a (1, K) @ (K, 1) product per row rounds as weights @ grad does
     value = (weights[..., None, :] @ grad[..., :, None])[..., 0, 0]
     return (float(value) if value.ndim == 0 else value), grad, a, v
+
+
+def _past_j_accuracy(gamma: float) -> bool:
+    """Whether J's rounding, relative 50 eps e^{gamma/2}, exceeds GAP_RTOL: gamma > 41.237.
+
+    eigh resolves the e^{-gamma/2} couplings of M to about eps. Past this
+    limit e^{-gamma} < 1.2e-18, so J = e^{-gamma} c to rounding, and the
+    solver and the ansatz search evaluate e^{-gamma} c in place of J.
+    """
+    return 50.0 * _EPS > GAP_RTOL * math.exp(-gamma / 2.0)
 
 
 def coherent_information_diagonal(p: InputDistribution, params: DephasingParams) -> float:
@@ -371,9 +385,10 @@ def _newton_ascent(w: np.ndarray, kernel):
     on N {1, 2, 3, 4, 8, 16, 24, 32, 64, 128} x gamma {0, 0.5, ..., 40}
     takes more than 2, N 2 at gamma 0.5, and no c solve on N 1..399, 512,
     768 or 1024 more than 3), when the bordered system is singular (solve
-    raises, or returns a non-finite direction, as at N 43, gamma 150) or d
-    is not an ascent direction (the Hessian's tangent part is lost to
-    rounding), or when no step that still changes p increases F.
+    raises, or returns a non-finite direction) or d is not an ascent
+    direction (the Hessian's tangent part is lost to rounding), or when no
+    step that still changes p increases F. The solver never runs J past
+    its accuracy limit, where these stops would act on rounding noise.
     """
     evaluate, hessian = kernel
     value, grad, *state = evaluate(w)
@@ -460,27 +475,27 @@ def maximize_coherent_information(n_max: int, params: DephasingParams) -> Capaci
     Concavity makes every local maximizer globally optimal, so one Newton
     ascent from the large-gamma optimum _start_weights(N), an lru_cache
     that solves it on the first call at each N, is run; iterations counts
-    its J steps. converged means the duality gap is
-    at most GAP_RTOL of J and J is accurate to GAP_RTOL. From gamma of
-    about 30 on, the Hessian's tangent part, of order e^-gamma, falls
-    below its rounding error, but there the start is already certified:
-    J e^gamma differs from c by O(e^-gamma), and every N up to 128 takes 0
-    steps at gamma 16 to 40. eigh resolves the e^{-gamma/2} couplings of M
-    to about eps, so J's relative accuracy is about 50 eps e^{gamma/2};
-    past gamma 41.24 that exceeds GAP_RTOL and no point is certified,
-    whatever its gap.
+    its steps. From gamma of about 30 on, the Hessian's tangent part, of
+    order e^-gamma, falls below its rounding error, but there the start
+    is already certified: J e^gamma differs from c by O(e^-gamma), and
+    every N up to 128 takes 0 steps at gamma 16 to 40. Past J's accuracy
+    limit, gamma 41.24 (_past_j_accuracy), the ascent runs on c instead,
+    takes 0 steps from its own certified optimum, and q_bits and gap are
+    e^-gamma times c's value and gap, which equal J's to rounding there.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    kernel = (lambda w: _objective_and_gradient(w, params.gamma), _hessian)
+    kernel, scale = (lambda w: _objective_and_gradient(w, params.gamma), _hessian), 1.0
+    if _past_j_accuracy(params.gamma):
+        kernel, scale = _C_KERNEL, math.exp(-params.gamma)
     w, value, gap, iterations = _newton_ascent(_start_weights(n_max), kernel)
     return CapacityResult(
         gamma=params.gamma,
         n_max=n_max,
-        q_bits=value / _LN2,
+        q_bits=scale * value / _LN2,
         p_opt=InputDistribution(w),
         iterations=iterations,
-        gap=gap / _LN2,
+        gap=scale * gap / _LN2,
     )
 
 
@@ -513,12 +528,16 @@ def maximize_over_ansatz(n_max: int, params: DephasingParams):
     """One-dimensional maximization of J over the ansatz width sigma.
 
     Returns (sigma_opt, q_bits) from a golden-section search on the
-    bracket [0.05, 5N].
+    bracket [0.05, 5N]. Past J's accuracy limit, gamma 41.24, the
+    objective is asymptotic_capacity, e^-gamma c, as in the solver: a
+    discrete Gaussian's support has no gaps, so J = e^-gamma c to rounding.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    past = _past_j_accuracy(params.gamma)
+    objective = asymptotic_capacity if past else coherent_information_diagonal
     return _golden_section_max(
-        lambda sigma: coherent_information_diagonal(ansatz_distribution(n_max, sigma), params),
+        lambda sigma: objective(ansatz_distribution(n_max, sigma), params),
         0.05,
         5.0 * n_max,
     )

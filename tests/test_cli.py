@@ -130,16 +130,19 @@ class TestCapacityCommand:
         assert rec["converged"] == "true"
         assert 0.0 <= float(rec["gap"]) <= 1e-5 * float(rec["q_bits"])
 
-    def test_gamma_past_kernel_accuracy_exits_two(self, capsys):
-        # at gamma 73, J's rounding (50 eps e^{gamma/2}) is far above 1e-5 of it
+    def test_gamma_past_kernel_accuracy_certifies(self, capsys):
+        # at gamma 73, J's rounding (50 eps e^{gamma/2}) is far above 1e-5 of
+        # it, so the point reports e^-gamma c, which at N 1 is the two-point bound
         rc = main(["capacity", "--n", "1", "--gamma", "73"])
         rec = parse_record(capsys.readouterr().out)
-        assert rc == 2
-        assert rec["converged"] == "false"
+        bound = optimize.two_point_lower_bound(DephasingParams(73.0), 1).value_bits
+        assert rc == 0
+        assert rec["converged"] == "true"
+        assert rec["q_bits"] == fmt(bound)
 
-    def test_singular_newton_system_exits_two(self):
-        # the bordered Newton system is singular at N 16, gamma 132: the point
-        # is returned uncertified (exit 2), not raised as a traceback
+    def test_singular_newton_point_exits_zero(self):
+        # J's bordered Newton system is singular at N 16, gamma 132; the
+        # solve runs on c there and the point exits 0, with no traceback
         src = Path(fock.__file__).resolve().parents[1]
         proc = subprocess.run(
             [sys.executable, "-m", "dephcap.cli", "capacity", "--n", "16", "--gamma", "132"],
@@ -148,9 +151,17 @@ class TestCapacityCommand:
             env={**os.environ, "PYTHONPATH": str(src)},
             timeout=60,
         )
-        assert proc.returncode == 2
-        assert parse_record(proc.stdout)["converged"] == "false"
+        assert proc.returncode == 0
+        assert parse_record(proc.stdout)["converged"] == "true"
         assert "Traceback" not in proc.stderr
+
+    def test_underflowed_point_exits_two(self, capsys):
+        # e^-gamma underflows to 0 from gamma 745.2, so q_bits is 0 and uncertified
+        rc = main(["capacity", "--n", "8", "--gamma", "745.2"])
+        rec = parse_record(capsys.readouterr().out)
+        assert rc == 2
+        assert rec["q_bits"] == "0"
+        assert rec["converged"] == "false"
 
     def test_certified_record_reports_gap(self, capsys):
         rc = main(["capacity", "--n", "8", "--gamma", "1"])
@@ -370,8 +381,9 @@ class TestSweepCommand:
         assert rc == 0
 
     def test_singular_newton_points_are_solved_rows(self, tmp_path):
-        # points whose Newton system is singular, (3, 300), (16, 132), (24, 150),
-        # (32, 200) and (64, 300), are solved rows of the grid, not failures
+        # points where J's Newton system is singular, (3, 300), (16, 132),
+        # (24, 150), (32, 200) and (64, 300), are certified rows of the grid:
+        # past J's accuracy limit the solve runs on c
         out = tmp_path / "far.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -380,7 +392,8 @@ class TestSweepCommand:
         assert rc == 0
         results = json.loads(out.read_text())["results"]
         assert len(results) == 20
-        assert all(r["error"] is None and r["converged"] is False for r in results)
+        assert all(r["error"] is None and r["converged"] is True for r in results)
+        assert all(r["iterations"] == 0 for r in results)
 
     def test_point_failure_row(self, tmp_path, monkeypatch):
         real = optimize.maximize_coherent_information
@@ -475,6 +488,14 @@ class TestOtherCommands:
         assert rc == 0
         assert rec["converged"] == "true"
         assert 0.0 <= float(rec["gap"]) <= 1e-5 * float(rec["q_optimizer_bits"])
+
+    def test_asymptotic_equals_optimizer_past_kernel_accuracy(self, capsys):
+        # past gamma 41.24 the solver reports e^-gamma c(p_c), the same formula
+        rc = main(["asymptotic", "--n", "8", "--gamma", "60"])
+        rec = parse_record(capsys.readouterr().out)
+        assert rc == 0
+        assert rec["converged"] == "true"
+        assert rec["q_asymptotic_bits"] == rec["q_optimizer_bits"]
 
     def test_asymptotic_uncertified_exits_two(self, capsys, monkeypatch):
         # the start is solved before the cap, which the start cache would

@@ -73,17 +73,28 @@ def mp_objective_and_gradient(weights, gamma, dps=80):
 
 
 def q_inf_bits(gamma):
-    """D(p_gamma || uniform) in bits for gamma >= 16, p_gamma the wrapped normal.
+    """D(p_gamma || uniform) in bits for gamma >= 0.25, p_gamma the wrapped normal.
 
     With 2 pi p_gamma = 1 + x, x = 2 sum_n e^{-gamma n^2 / 2} cos(n phi), the
-    mean over phi of (1 + x) ln(1 + x) - x = fock.phi1p(x). |x| < 7e-4, so
-    the 64-node trapezoid rule integrates it to rounding.
+    mean over phi of (1 + x) ln(1 + x) - x = fock.phi1p(x). The terms with
+    n <= ceil(sqrt(1490 / gamma)) are kept (the first one cut is below
+    e^-745, which underflows), on 4n + 8 trapezoid nodes; on gamma
+    0.25..40 this is within 3e-16 of the mpmath quadrature
+    bench/reference.q_inf.
     """
-    assert gamma >= 16.0
-    n = np.arange(1, 9)
-    phi = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    assert gamma >= 0.25
+    n = np.arange(1, math.ceil(math.sqrt(1490.0 / gamma)) + 1)
+    phi = np.linspace(0.0, 2.0 * np.pi, 4 * n.size + 8, endpoint=False)
     x = 2.0 * np.exp(-gamma * n ** 2 / 2.0) @ np.cos(np.outer(n, phi))
     return float(np.mean(fock.phi1p(x))) / LN2
+
+
+def j_ascent(n_max, gamma):
+    """_newton_ascent on J's own kernel from _start_weights(N), with warnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kernel = (lambda w: _objective_and_gradient(w, gamma), _hessian)
+        return _newton_ascent(_start_weights(n_max), kernel)
 
 
 class TestTwoPointBound:
@@ -487,11 +498,17 @@ class TestMaximizeCoherentInformation:
     @pytest.mark.parametrize("gamma, certified", [(40.0, True), (45.0, False), (55.0, False),
                                                   (73.0, False)])
     def test_no_certificate_past_kernel_accuracy(self, gamma, certified):
-        # the gap closes at N = 1 for every gamma, but past gamma 41.24 the
-        # kernel's accuracy bound 50 eps e^{gamma/2} exceeds GAP_RTOL
+        # past gamma 41.24 the J kernel's accuracy bound 50 eps e^{gamma/2}
+        # exceeds GAP_RTOL, so J certifies nothing there; the solve reports
+        # e^-gamma c instead, which certifies, and at N = 1 it is the
+        # two-point bound, J(1/2, 1/2), to rounding
+        assert optimize._past_j_accuracy(gamma) is not certified
         res = maximize_coherent_information(1, DephasingParams(gamma))
-        assert res.gap <= 1e-5 * res.q_bits
-        assert res.converged is certified
+        bound = two_point_lower_bound(DephasingParams(gamma), 1).value_bits
+        assert res.converged
+        # at gamma 40 the value is J's, accurate to 50 eps e^20 = 5.4e-6
+        tol = 1e-5 if certified else 1e-14
+        assert res.q_bits == pytest.approx(bound, rel=tol, abs=0.0)
 
     @pytest.mark.parametrize("gamma", [32.0, 40.0])
     def test_large_gamma_values_lie_between_anchors(self, gamma):
@@ -542,14 +559,16 @@ class TestMaximizeCoherentInformation:
     @pytest.mark.parametrize("n_max, gamma", [(3, 300.0), (16, 132.0), (24, 150.0),
                                               (32, 200.0), (64, 300.0)])
     def test_singular_newton_system_ends_uncertified(self, n_max, gamma):
-        # far past certification the folded Hessian's tangent part rounds
-        # away and the bordered system is singular: the ascent stops there
-        # as at a direction that does not ascend, and the point is returned
-        res = maximize_coherent_information(n_max, DephasingParams(gamma))
-        p = res.p_opt.p
-        assert not res.converged
-        assert 0.0 <= res.q_bits <= math.log2(n_max + 1)
-        assert np.array_equal(p, p[::-1])
+        # far past J's accuracy limit, where the solver runs on c instead,
+        # J's folded Hessian loses its tangent part to rounding and the
+        # bordered system is singular: the ascent stops there as at a
+        # direction that does not ascend, and returns a symmetric point
+        w, value, gap, _ = j_ascent(n_max, gamma)
+        assert gap > optimize.GAP_RTOL * value
+        assert 0.0 <= value <= math.log(n_max + 1)
+        assert np.array_equal(w, w[::-1])
+        # the solve itself is certified
+        assert maximize_coherent_information(n_max, DephasingParams(gamma)).converged
 
     def test_value_dominates_two_point_bound(self):
         for gamma in (0.25, 1.0, 2.0):
@@ -558,14 +577,14 @@ class TestMaximizeCoherentInformation:
             assert res.q_bits >= bound.value_bits - 1e-9
 
     def test_non_finite_newton_direction_ends_uncertified(self):
-        # here the bordered system is finite, but LAPACK's solve returns a
-        # non-finite direction on the second step without raising: the ascent
-        # stops as at a singular system, and no warning leaks
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            res = maximize_coherent_information(43, DephasingParams(150.0))
-        assert not res.converged
-        assert 0.0 <= res.q_bits <= math.log2(44)
+        # on J at N 43, gamma 150 the bordered system is finite, but LAPACK's
+        # solve returns a non-finite direction on the second step without
+        # raising: the ascent stops as at a singular system (j_ascent lets
+        # no warning leak)
+        w, value, gap, _ = j_ascent(43, 150.0)
+        assert gap > optimize.GAP_RTOL * value
+        assert 0.0 <= value <= math.log(44)
+        assert np.array_equal(w, w[::-1])
 
 
 class TestLineSearch:
@@ -685,6 +704,17 @@ class TestMaximizeOverAnsatz:
         fit = default_sigma(n_max)
         assert abs(sigma - fit) <= 0.25 * fit
 
+    @pytest.mark.parametrize("gamma", [60.0, 100.0, 300.0])
+    @pytest.mark.parametrize("n_max", [2, 8, 32])
+    def test_value_between_anchors_past_kernel_accuracy(self, n_max, gamma):
+        # past gamma 41.24 the search maximizes e^-gamma c, as the solver
+        # does, so the best Gaussian stays below the certified optimum
+        params = DephasingParams(gamma)
+        _, q = maximize_over_ansatz(n_max, params)
+        res = maximize_coherent_information(n_max, params)
+        assert two_point_lower_bound(params, 1).value_bits <= q
+        assert q <= min(res.q_bits + res.gap, q_inf_bits(gamma))
+
 
 class TestOptimumShape:
     # the paper calls the optimum a discrete Gaussian; from N 32 on the
@@ -794,6 +824,27 @@ class TestCapacitySweep:
         good = [r for r in results if not math.isnan(r.q_bits)]
         assert len(failed) == 1 and not failed[0].converged
         assert len(good) == 1 and good[0].converged
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.01, 0.25, 1.0, 4.0, 16.0, 40.0, 60.0, 100.0, 300.0])
+def test_north_star_grid(gamma):
+    # every point certifies, lies between the two-point bound and the
+    # unconstrained capacity q_inf (log2(N+1) below gamma 0.25), grows with
+    # N up to the gap, and has a bitwise mirror-symmetric optimum. At N 1
+    # q_bits is the two-point bound up to J's rounding (6.8e-8 relative at
+    # gamma 40), so the lower check allows the certificate's GAP_RTOL.
+    params = DephasingParams(gamma)
+    lower = two_point_lower_bound(params, 1).value_bits
+    results = [maximize_coherent_information(n, params) for n in (1, 8, 64, 256)]
+    for res in results:
+        upper = q_inf_bits(gamma) if gamma >= 0.25 else math.log2(res.n_max + 1)
+        p = res.p_opt.p
+        assert res.converged, res.n_max
+        assert lower <= res.q_bits * (1.0 + optimize.GAP_RTOL), res.n_max
+        assert res.q_bits <= upper, res.n_max
+        assert np.array_equal(p, p[::-1]), res.n_max
+    for small, large in zip(results, results[1:]):
+        assert small.q_bits <= large.q_bits + large.gap, large.n_max
 
 
 def test_optimum_is_concave_certificate():
